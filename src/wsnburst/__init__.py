@@ -15,8 +15,8 @@ from .model import (BulkFactor, DeterministicLaw, DiscretizedLaw, DistKind,
                     GeometricLaw, SinkParams, SourceParams, blowup_points,
                     bulk_factor, burstiness, derive_source_params, mpd_bulk_limit,
                     mpd_smooth_limit)
-from .simcore import (Packet, ReplicationResult, RunConfig, collect_metrics,
-                      estimate_overflow, run_replication, source_emit)
+from .simcore import (ReplicationResult, RunConfig, estimate_overflow,
+                      run_replication, source_emit)
 from .topology import (TopologySpec, build_case2, build_case3, build_star,
                        validate_topology)
 from .experiments import ConfigError, SimConfig, load_config, run_sweep
@@ -29,8 +29,8 @@ __all__ = [
     "GeometricLaw", "SinkParams", "SourceParams", "blowup_points",
     "bulk_factor", "burstiness", "derive_source_params", "mpd_bulk_limit",
     "mpd_smooth_limit",
-    "Packet", "ReplicationResult", "RunConfig", "collect_metrics",
-    "estimate_overflow", "run_replication", "source_emit",
+    "ReplicationResult", "RunConfig", "estimate_overflow", "run_replication",
+    "source_emit",
     "TopologySpec", "build_case2", "build_case3", "build_star",
     "validate_topology",
     "ConfigError", "SimConfig", "load_config", "run_sweep",

@@ -215,49 +215,6 @@ def tpt_calibrate(theta: float, alpha: float, target_mean: float, T: int,
     return TPT(theta=theta, T=T, lam=lam, mu=mean_at_unit_mu / target_mean)
 
 
-def to_config(spec: DistributionSpec) -> dict:
-    """JSON-serializable form used inside sweep configuration files."""
-    if isinstance(spec, Exponential):
-        return {"kind": "exp", "mean": spec.mean}
-    if isinstance(spec, Pareto):
-        return {"kind": "pareto", "alpha": spec.alpha, "mean": spec.mean}
-    if isinstance(spec, TPT):
-        # lam/mu give the exact round trip; alpha/mean are the descriptive
-        # form (alpha is the tail index implied by lam)
-        return {"kind": "tpt", "theta": spec.theta, "T": spec.T,
-                "lam": spec.lam, "mu": spec.mu,
-                "alpha": math.log(1.0 / spec.theta) / math.log(spec.lam),
-                "mean": mean_of(spec)}
-    if isinstance(spec, Deterministic):
-        return {"kind": "det", "value": spec.value}
-    raise ParameterError(f"unknown distribution spec: {spec!r}")
-
-
-def from_config(obj: dict) -> DistributionSpec:
-    """Inverse of ``to_config``.  A tpt entry may give (theta, alpha, T, mean)
-    instead of explicit (lam, mu); it is then calibrated."""
-    if not isinstance(obj, dict) or "kind" not in obj:
-        raise ParameterError(f"distribution config must be an object with a 'kind': {obj!r}")
-    kind = obj["kind"]
-    try:
-        if kind == "exp":
-            return Exponential(mean=float(obj["mean"]))
-        if kind == "pareto":
-            return Pareto(alpha=float(obj.get("alpha", 1.4)), mean=float(obj["mean"]))
-        if kind == "det":
-            return Deterministic(value=float(obj["value"]))
-        if kind == "tpt":
-            if "mu" in obj and "lam" in obj:
-                return TPT(theta=float(obj["theta"]), T=int(obj["T"]),
-                           lam=float(obj["lam"]), mu=float(obj["mu"]))
-            return tpt_calibrate(theta=float(obj.get("theta", 0.5)),
-                                 alpha=float(obj.get("alpha", 1.4)),
-                                 target_mean=float(obj["mean"]), T=int(obj["T"]))
-    except KeyError as exc:
-        raise ParameterError(f"distribution config {obj!r} is missing key {exc}") from None
-    raise ParameterError(f"unknown distribution kind {kind!r}")
-
-
 def rescale(spec: DistributionSpec, new_mean: float) -> DistributionSpec:
     """Same distribution shape, scaled so the mean equals ``new_mean``."""
     if isinstance(spec, Exponential):

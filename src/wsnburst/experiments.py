@@ -299,8 +299,9 @@ def fmt9(x: Optional[float]) -> str:
         return "0.0"
     if math.isinf(x):
         return "inf" if x > 0 else "-inf"
-    decimals = max(0, 8 - math.floor(math.log10(abs(x))))
-    return f"{x:.{decimals}f}"
+    # the exponent of the value rounded to 9 digits: 9.9999999996 -> 1e1
+    exponent = int(f"{x:.8e}".rpartition("e")[2])
+    return f"{x:.{max(0, 8 - exponent)}f}"
 
 
 def row_seed(master: int, case: int, n: int, b: float, day: int) -> int:
@@ -325,7 +326,7 @@ def run_point(config: SimConfig, n: int, b: float, day: int) -> list[SweepRow]:
         run_cfg = RunConfig(horizon_s=config.horizon_s, warmup_s=config.warmup_s,
                             trace=config.trace)
         result = run_replication(topo, sources, run_cfg, seed, day=day)
-        if config.trace and result.trace is not None:
+        if result.trace is not None:
             trace_dir = Path(config.out_dir) / "traces"
             trace_dir.mkdir(parents=True, exist_ok=True)
             write_trace_csv(result.trace,
@@ -495,16 +496,14 @@ def _write_manifest(config: SimConfig, path: Path) -> None:
 LOG_SCALE_METRICS = {"mpd_s", "e2e_delay_s"}
 
 
-def emit_plotdata(summary_rows: list[dict], plot_dir,
-                  metrics: Optional[list[str]] = None) -> list[Path]:
+PLOT_METRICS = ("mpd_s", "e2e_delay_s", "throughput_pps", "overflow_prob")
+
+
+def emit_plotdata(summary_rows: list[dict], plot_dir) -> list[Path]:
     """Write gnuplot-ready series: one .dat per (case, entity, metric, N,
-    ON-kind), x = burstiness, y = across-day mean, plus a plot.gp script
-    (logarithmic y axis for the delay series)."""
-    rows = [r for r in summary_rows
-            if metrics is None or r["metric"] in metrics]
-    if metrics is None:
-        rows = [r for r in rows if r["metric"] in
-                ("mpd_s", "e2e_delay_s", "throughput_pps", "overflow_prob")]
+    ON-kind) for each PLOT_METRICS metric, x = burstiness, y = across-day
+    mean, plus a plot.gp script (logarithmic y axis for the delay series)."""
+    rows = [r for r in summary_rows if r["metric"] in PLOT_METRICS]
     if not rows:
         log.warning("emit_plotdata: no matching series; nothing written")
         return []

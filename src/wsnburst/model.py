@@ -26,6 +26,7 @@ EMISSION_CONST = "const"      # packets evenly spaced 1/lambda_p within a burst
 EMISSION_POISSON = "poisson"  # packet gaps Exponential(1/lambda_p) within a burst
 
 _REL_TOL = 1e-9
+_BULK_MC_SAMPLES = 1_000_000   # Monte Carlo draws behind a discretized law's bulk factor
 
 
 @dataclass(frozen=True)
@@ -290,14 +291,6 @@ def _discretized_mean(dist: DistributionSpec, cutoff: int = 200_000) -> float:
     return total
 
 
-def law_for_kind(kind: DistKind, n_p: float) -> BulkSizeLaw:
-    """Burst-size law matching an ON-time shape: exponential ON times mean a
-    geometric packet count; pareto/tpt ON times are discretized directly."""
-    if kind.kind == "exp":
-        return GeometricLaw(mean=n_p)
-    return DiscretizedLaw(dist=kind.make(n_p))
-
-
 def bulk_law_for(params: SourceParams) -> BulkSizeLaw:
     """Burst-size law implied by a source's ON-time distribution: the count
     law has the same shape as the ON time, scaled to mean n_p packets."""
@@ -321,8 +314,7 @@ class BulkFactor:
         return self.value
 
 
-def bulk_factor(law: BulkSizeLaw, rng: np.random.Generator | None = None,
-                n: int = 1_000_000) -> BulkFactor:
+def bulk_factor(law: BulkSizeLaw, rng: np.random.Generator | None = None) -> BulkFactor:
     """Bulk factor D of a burst-size law.
 
     Geometric and deterministic laws use closed-form moments; a
@@ -340,13 +332,11 @@ def bulk_factor(law: BulkSizeLaw, rng: np.random.Generator | None = None,
     if isinstance(law, DiscretizedLaw):
         if rng is None:
             rng = np.random.Generator(np.random.PCG64(0x9E3779B9))
-        if n < 1_000_000:
-            n = 1_000_000
-        ell = law.sample_array(rng, n).astype(float)
+        ell = law.sample_array(rng, _BULK_MC_SAMPLES).astype(float)
         z = ell * (ell + 1.0) / 2.0
         d = float(z.mean() / ell.mean())
         resid = z - d * ell
-        stderr = float(np.sqrt(np.mean(resid * resid) / n) / ell.mean())
+        stderr = float(np.sqrt(np.mean(resid * resid) / ell.size) / ell.mean())
         warn = isinstance(law.dist, Pareto) and law.dist.alpha <= 2.0
         return BulkFactor(value=d, stderr=stderr, exact=False, heavy_tail_warning=warn)
     raise ParameterError(f"unknown bulk-size law: {law!r}")

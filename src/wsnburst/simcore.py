@@ -18,8 +18,8 @@ counted virtually (arrivals that find at least B packets in system).
 """
 from __future__ import annotations
 
+import csv
 import math
-import time
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
@@ -36,6 +36,10 @@ _SIZE_TAG = fnv1a64("size")
 
 MEAN_PACKET_BYTES = 100.0  # recorded on traces only; service is drawn per hop
 
+TRACE_COLUMNS = ("packet_id", "source_id", "cluster_id", "created_at",
+                 "hop_node", "arrive", "depart", "size_bytes")
+_TRACE_PAYLOAD = ("source", "pid", "size")   # per-arrival arrays carried in trace mode
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -49,10 +53,6 @@ class RunConfig:
         if not 0.0 <= self.warmup_s < self.horizon_s:
             raise ParameterError(
                 f"need 0 <= warmup_s < horizon_s, got {self.warmup_s} / {self.horizon_s}")
-
-    @property
-    def window_s(self) -> float:
-        return self.horizon_s - self.warmup_s
 
 
 @dataclass
@@ -69,16 +69,7 @@ class NodeState:
     cluster: np.ndarray            # cluster index of each arrival
     source: Optional[np.ndarray] = None   # trace mode only
     pid: Optional[np.ndarray] = None      # trace mode only
-
-    @property
-    def arrivals_total(self) -> int:
-        return int(self.arrive.size)
-
-    def departures_by(self, t: float) -> int:
-        return int(np.searchsorted(self.depart, t, side="right"))
-
-    def in_system_at(self, t: float) -> int:
-        return self.arrivals_total - self.departures_by(t)
+    size: Optional[np.ndarray] = None     # trace mode only
 
 
 @dataclass(frozen=True)
@@ -102,18 +93,6 @@ class ClusterMetrics:
     entry_node: str
 
 
-@dataclass(frozen=True)
-class Packet:
-    """Trace record: one packet's full hop history."""
-
-    id: int
-    source_id: str
-    cluster_id: str
-    created_at: float
-    hops: tuple[tuple[str, float, float], ...]   # (node_id, t_arrive, t_depart)
-    size_bytes: float
-
-
 @dataclass
 class ReplicationResult:
     day: int
@@ -125,9 +104,7 @@ class ReplicationResult:
     per_cluster: dict[str, ClusterMetrics]
     overall_e2e_s: float
     overall_packets: int
-    wall_s: float
-    states: Optional[dict[str, NodeState]] = None
-    trace: Optional[list[Packet]] = None
+    trace: Optional[dict[str, list]] = None   # TRACE_COLUMNS -> one list per column
 
 
 def source_emit(params: SourceParams, law: BulkSizeLaw, rng: np.random.Generator,
@@ -213,71 +190,52 @@ def time_average_in_system(arrive: np.ndarray, depart: np.ndarray,
     return float(overlap.sum() / (hi - lo))
 
 
-def run_replication(topo: TopologySpec, sources: Mapping[str, SourceParams],
-                    config: RunConfig, seed: int, day: int = 0,
-                    keep_states: bool = False) -> ReplicationResult:
-    """Execute one replication and collect per-node / per-cluster metrics.
+def simulate(topo: TopologySpec, sources: Mapping[str, SourceParams],
+             config: RunConfig, seed: int) -> dict[str, NodeState]:
+    """Per-node trajectories of one replication, in child-before-parent order.
 
     ``sources`` maps cluster_id to the per-source parameters of that
     cluster (all sources of a cluster are identical).  Identical
-    (topology, sources, config, seed) give bitwise-identical results.
-    Offered load >= service rate anywhere is allowed but flagged
-    ``saturated``.
+    (topology, sources, config, seed) give bitwise-identical trajectories.
     """
-    t_start = time.perf_counter()
     issues = validate_topology(topo)
     if issues:
         raise ParameterError("invalid topology: " + "; ".join(issues))
-    horizon, warmup = config.horizon_s, config.warmup_s
-    clusters = list(topo.clusters)
-    cluster_index = {c.cluster_id: i for i, c in enumerate(clusters)}
+    horizon = config.horizon_s
+    carried = ("created", "cluster") + (_TRACE_PAYLOAD if config.trace else ())
 
     # per-cluster merged emission streams
     emissions: dict[str, dict] = {}
-    for ci, cluster in enumerate(clusters):
-        streams = []
-        payloads = []
+    for ci, cluster in enumerate(topo.clusters):
         params = sources[cluster.cluster_id] if cluster.n_sources else None
         law = bulk_law_for(params) if params is not None else None
+        streams = []
         for si in range(cluster.n_sources):
             rng = substream(derive_seed(seed, _SRC_TAG, ci, si))
             times = source_emit(params, law, rng, horizon)
-            streams.append(times)
+            stream = {"times": times}
             if config.trace:
-                payloads.append({
-                    "source": np.full(times.size, si, dtype=np.int32),
-                    "pid": np.arange(times.size, dtype=np.int64),
-                })
-        emissions[cluster.cluster_id] = _merge_streams(streams, payloads if config.trace else None)
+                size_rng = substream(derive_seed(seed, _SIZE_TAG, ci, si))
+                stream.update(source=np.full(times.size, si, dtype=np.int32),
+                              pid=np.arange(times.size, dtype=np.int64),
+                              size=size_rng.exponential(MEAN_PACKET_BYTES, times.size))
+            streams.append(stream)
+        merged = _merge_inputs(streams)
+        merged["created"] = merged["times"]
+        merged["cluster"] = np.full(merged["times"].size, ci, dtype=np.int16)
+        emissions[cluster.cluster_id] = merged
 
-    saturated = False
     states: dict[str, NodeState] = {}
-    consumed: set[str] = set()
-    metrics: dict[str, NodeMetrics] = {}
     for node in topo.queue_nodes():
         inputs: list[dict] = []
         for child_id in topo.children_of(node.node_id):
-            child = topo.node(child_id)
-            if child.role not in (ROLE_RELAY, ROLE_SINK):
+            if topo.node(child_id).role not in (ROLE_RELAY, ROLE_SINK):
                 continue
             st = states[child_id]
             mask = st.depart <= horizon    # later departures never reach the parent
-            entry = {"times": st.depart[mask], "created": st.created[mask],
-                     "cluster": st.cluster[mask]}
-            if config.trace:
-                entry["source"] = st.source[mask]
-                entry["pid"] = st.pid[mask]
-            inputs.append(entry)
-            consumed.add(child_id)
-        for cluster in topo.clusters_at(node.node_id):
-            em = emissions[cluster.cluster_id]
-            entry = {"times": em["times"], "created": em["times"],
-                     "cluster": np.full(em["times"].size, cluster_index[cluster.cluster_id],
-                                        dtype=np.int16)}
-            if config.trace:
-                entry["source"] = em["source"]
-                entry["pid"] = em["pid"]
-            inputs.append(entry)
+            inputs.append({"times": st.depart[mask],
+                           **{key: getattr(st, key)[mask] for key in carried}})
+        inputs.extend(emissions[c.cluster_id] for c in topo.clusters_at(node.node_id))
 
         merged = _merge_inputs(inputs)
         arrive = merged.pop("times")
@@ -285,34 +243,34 @@ def run_replication(topo: TopologySpec, sources: Mapping[str, SourceParams],
         service = svc_rng.exponential(1.0 / node.service_rate, arrive.size)
         depart = fifo_departures(arrive, service)
         del service
-        state = NodeState(node_id=node.node_id, service_rate=node.service_rate,
-                          threshold=node.threshold, arrive=arrive, depart=depart,
-                          created=merged["created"], cluster=merged["cluster"],
-                          source=merged.get("source"), pid=merged.get("pid"))
-        states[node.node_id] = state
-        metrics[node.node_id] = _node_metrics(state, warmup, horizon, len(clusters))
-        if topo.offered_load(node.node_id) >= node.service_rate * (1.0 - 1e-12):
-            saturated = True
-        if not keep_states and not config.trace:
-            for child_id in list(consumed):
-                if child_id in states and child_id != node.node_id:
-                    states[child_id] = None  # type: ignore[assignment]
-            states = {k: v for k, v in states.items() if v is not None}
+        states[node.node_id] = NodeState(
+            node_id=node.node_id, service_rate=node.service_rate,
+            threshold=node.threshold, arrive=arrive, depart=depart, **merged)
+    return states
 
+
+def run_replication(topo: TopologySpec, sources: Mapping[str, SourceParams],
+                    config: RunConfig, seed: int, day: int = 0) -> ReplicationResult:
+    """Execute one replication (``simulate``) and collect per-node /
+    per-cluster metrics; the trajectories are dropped on return.
+
+    Offered load >= service rate anywhere is allowed but flagged
+    ``saturated``.
+    """
+    states = simulate(topo, sources, config, seed)
+    horizon, warmup = config.horizon_s, config.warmup_s
+    clusters = list(topo.clusters)
+    metrics = {node_id: _node_metrics(st, warmup, horizon, len(clusters))
+               for node_id, st in states.items()}
+    saturated = any(topo.offered_load(node.node_id) >= node.service_rate * (1.0 - 1e-12)
+                    for node in topo.queue_nodes())
     per_cluster, overall_e2e, overall_n = _cluster_metrics(
         topo, clusters, states.get(topo.sink_id), metrics, warmup, horizon)
-
-    trace_rows = None
-    if config.trace:
-        trace_rows = _assemble_trace(topo, clusters, states, seed)
-
     return ReplicationResult(
         day=day, seed=seed, horizon_s=horizon, warmup_s=warmup,
         saturated=saturated, per_node=metrics, per_cluster=per_cluster,
         overall_e2e_s=overall_e2e, overall_packets=overall_n,
-        wall_s=time.perf_counter() - t_start,
-        states=states if (keep_states or config.trace) else None,
-        trace=trace_rows)
+        trace=_trace_columns(clusters, states) if config.trace else None)
 
 
 def _node_metrics(state: NodeState, warmup: float, horizon: float,
@@ -332,11 +290,13 @@ def _node_metrics(state: NodeState, warmup: float, horizon: float,
 
     per_cluster_counts = np.bincount(state.cluster[in_window], minlength=n_clusters)
     cluster_thr = {ci: float(c / window) for ci, c in enumerate(per_cluster_counts)}
+    arrivals = int(state.arrive.size)
+    departed = int(np.searchsorted(state.depart, horizon, side="right"))
     return NodeMetrics(
         mpd_s=mpd, throughput_pps=throughput, overflow_prob=overflow,
         overflow_defined=defined, mean_queue_len=queue_len,
-        packets=int(created_mask.sum()), arrivals_total=state.arrivals_total,
-        in_system_at_horizon=state.in_system_at(horizon),
+        packets=int(created_mask.sum()), arrivals_total=arrivals,
+        in_system_at_horizon=arrivals - departed,
         cluster_throughput_pps=cluster_thr)
 
 
@@ -364,69 +324,6 @@ def _cluster_metrics(topo, clusters, sink_state, node_metrics, warmup, horizon):
     return per_cluster, overall_e2e, overall_n
 
 
-def collect_metrics(results: list[ReplicationResult]) -> "AggregatedReport":
-    """Aggregate replications: the per-day rows are preserved (the
-    day-to-day fluctuation view) and every metric gets mean/min/max and
-    coefficient of variation across days."""
-    if not results:
-        raise ParameterError("collect_metrics needs at least one replication")
-    days: list[DayRow] = []
-    for res in results:
-        for node_id, nm in res.per_node.items():
-            days.append(DayRow(day=res.day, entity=node_id, metrics={
-                "mpd_s": nm.mpd_s, "throughput_pps": nm.throughput_pps,
-                "overflow_prob": nm.overflow_prob,
-                "mean_queue_len": nm.mean_queue_len, "packets": float(nm.packets)}))
-        for cluster_id, cm in res.per_cluster.items():
-            days.append(DayRow(day=res.day, entity=cluster_id, metrics={
-                "e2e_delay_s": cm.e2e_delay_s, "throughput_pps": cm.throughput_pps,
-                "packets": float(cm.packets)}))
-    summary: dict[str, dict[str, Stat]] = {}
-    entities = {row.entity for row in days}
-    for entity in sorted(entities):
-        rows = [r for r in days if r.entity == entity]
-        metric_names = rows[0].metrics.keys()
-        summary[entity] = {name: _stat([r.metrics[name] for r in rows])
-                           for name in metric_names}
-    return AggregatedReport(days=days, summary=summary)
-
-
-@dataclass(frozen=True)
-class DayRow:
-    day: int
-    entity: str
-    metrics: dict[str, float]
-
-
-@dataclass(frozen=True)
-class Stat:
-    mean: float
-    min: float
-    max: float
-    cv: float
-
-
-@dataclass(frozen=True)
-class AggregatedReport:
-    days: list[DayRow]
-    summary: dict[str, dict[str, Stat]]
-
-
-def _stat(values: list[float]) -> Stat:
-    arr = np.asarray(values, dtype=float)
-    mean = float(arr.mean())
-    std = float(arr.std())   # population; a single day has zero spread
-    return Stat(mean=mean, min=float(arr.min()), max=float(arr.max()),
-                cv=std / abs(mean) if mean != 0.0 else 0.0)
-
-
-def _exclusive_cumsum(x: np.ndarray) -> np.ndarray:
-    out = np.empty(x.size, dtype=float)
-    out[0] = 0.0
-    np.cumsum(x[:-1], out=out[1:])
-    return out
-
-
 def _exclusive_cumsum_int(x: np.ndarray) -> np.ndarray:
     out = np.empty(x.size, dtype=np.int64)
     out[0] = 0
@@ -434,30 +331,13 @@ def _exclusive_cumsum_int(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _merge_streams(streams: list[np.ndarray], payloads: Optional[list[dict]]) -> dict:
-    """Merge per-source emission streams of one cluster into one sorted
-    stream.  Ties keep source order (stable)."""
-    if not streams:
-        out = {"times": np.empty(0)}
-        if payloads is not None:
-            out["source"] = np.empty(0, dtype=np.int32)
-            out["pid"] = np.empty(0, dtype=np.int64)
-        return out
-    entries = []
-    for i, times in enumerate(streams):
-        entry = {"times": times}
-        if payloads is not None:
-            entry.update(payloads[i])
-        entries.append(entry)
-    return _merge_inputs(entries)
-
-
 def _merge_inputs(inputs: list[dict]) -> dict:
     """Fold sorted input streams into one sorted stream, stable across the
     given input order (the simultaneous-event tie-break)."""
     if not inputs:
         return {"times": np.empty(0), "created": np.empty(0),
-                "cluster": np.empty(0, dtype=np.int16)}
+                "cluster": np.empty(0, dtype=np.int16), "source": np.empty(0, dtype=np.int32),
+                "pid": np.empty(0, dtype=np.int64), "size": np.empty(0)}
     merged = inputs[0]
     for nxt in inputs[1:]:
         merged = _merge_two(merged, nxt)
@@ -483,48 +363,36 @@ def _merge_two(a: dict, b: dict) -> dict:
     return out
 
 
-def _assemble_trace(topo: TopologySpec, clusters, states: dict[str, NodeState],
-                    seed: int) -> list[Packet]:
-    """Reconstruct per-packet hop histories (small runs only)."""
-    hops: dict[tuple[int, int, int], list[tuple[str, float, float]]] = {}
-    created_at: dict[tuple[int, int, int], float] = {}
-    for node in topo.queue_nodes():
-        st = states.get(node.node_id)
-        if st is None or st.source is None:
-            continue
-        for i in range(st.arrive.size):
-            key = (int(st.cluster[i]), int(st.source[i]), int(st.pid[i]))
-            hops.setdefault(key, []).append(
-                (node.node_id, float(st.arrive[i]), float(st.depart[i])))
-            created_at[key] = float(st.created[i])
-    size_rngs: dict[tuple[int, int], np.random.Generator] = {}
-    sizes: dict[tuple[int, int], np.ndarray] = {}
-    packets = []
-    for key in sorted(hops):
-        ci, si, pid = key
-        if (ci, si) not in sizes:
-            rng = substream(derive_seed(seed, _SIZE_TAG, ci, si))
-            count = max(p for c, s, p in hops if (c, s) == (ci, si)) + 1
-            sizes[(ci, si)] = rng.exponential(MEAN_PACKET_BYTES, count)
-        packets.append(Packet(
-            id=pid, source_id=f"c{ci + 1}s{si}",
-            cluster_id=clusters[ci].cluster_id,
-            created_at=created_at[key],
-            hops=tuple(sorted(hops[key], key=lambda h: h[1])),
-            size_bytes=float(sizes[(ci, si)][pid])))
-    return packets
+def _trace_columns(clusters, states: dict[str, NodeState]) -> dict[str, list]:
+    """The per-hop trace as TRACE_COLUMNS: one row per (queue node, arrival),
+    ordered by cluster, source, packet id and arrival time, so each packet's
+    hops are adjacent and in path order."""
+    nodes = list(states.values())
+
+    def joined(key: str) -> np.ndarray:
+        return np.concatenate([getattr(st, key) for st in nodes])
+
+    cluster, source, pid, arrive = (joined(k) for k in ("cluster", "source", "pid", "arrive"))
+    order = np.lexsort((arrive, pid, source, cluster))
+    cluster, source = cluster[order].astype(np.int64), source[order]
+    width = max((c.n_sources for c in clusters), default=0)
+    source_ids = [f"c{ci + 1}s{si}" for ci in range(len(clusters)) for si in range(width)]
+    hop = np.repeat(np.arange(len(nodes)), [st.arrive.size for st in nodes])[order]
+    return {
+        "packet_id": pid[order].tolist(),
+        "source_id": np.array(source_ids)[cluster * width + source].tolist(),
+        "cluster_id": np.array([c.cluster_id for c in clusters])[cluster].tolist(),
+        "created_at": joined("created")[order].tolist(),
+        "hop_node": np.array([st.node_id for st in nodes])[hop].tolist(),
+        "arrive": arrive[order].tolist(),
+        "depart": joined("depart")[order].tolist(),
+        "size_bytes": joined("size")[order].tolist(),
+    }
 
 
-def write_trace_csv(packets: list[Packet], path) -> None:
-    """Per-packet trace dump: one row per hop."""
-    import csv
-
+def write_trace_csv(trace: dict[str, list], path) -> None:
+    """Per-hop trace dump: a TRACE_COLUMNS header, then one row per hop."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["packet_id", "source_id", "cluster_id", "created_at",
-                         "hop_node", "arrive", "depart", "size_bytes"])
-        for p in packets:
-            for node_id, t_arr, t_dep in p.hops:
-                writer.writerow([p.id, p.source_id, p.cluster_id,
-                                 repr(p.created_at), node_id,
-                                 repr(t_arr), repr(t_dep), repr(p.size_bytes)])
+        writer.writerow(TRACE_COLUMNS)
+        writer.writerows(zip(*(trace[name] for name in TRACE_COLUMNS)))

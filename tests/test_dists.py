@@ -8,8 +8,8 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 
 from wsnburst.dists import (Deterministic, Exponential, ParameterError, Pareto, TPT,
-                            from_config, mean_of, reliability, rescale, sample,
-                            sample_array, to_config, tpt_calibrate)
+                            mean_of, reliability, rescale, sample, sample_array,
+                            tpt_calibrate)
 from wsnburst.rng import substream
 
 # Frozen oracle values (re-derived below where cheap):
@@ -209,27 +209,6 @@ def test_reliability_is_nonincreasing_from_one(kind, mean, alpha, theta, T, x1, 
 def test_invalid_parameters_raise(bad):
     with pytest.raises(ParameterError):
         bad()
-
-
-def test_config_round_trip():
-    specs = [Exponential(2.0), Pareto(1.4, 50.0), Deterministic(0.0),
-             tpt_calibrate(0.5, 1.4, 1.0, 30)]
-    for spec in specs:
-        assert from_config(to_config(spec)) == spec
-
-
-def test_from_config_tpt_calibrated_form():
-    spec = from_config({"kind": "tpt", "theta": 0.5, "alpha": 1.4, "T": 30, "mean": 2.5})
-    assert mean_of(spec) == pytest.approx(2.5, rel=1e-12)
-
-
-def test_from_config_errors():
-    with pytest.raises(ParameterError):
-        from_config({"kind": "nope"})
-    with pytest.raises(ParameterError):
-        from_config({"kind": "exp"})
-    with pytest.raises(ParameterError):
-        from_config("exp")
 
 
 def test_rescale_preserves_shape():

@@ -1,11 +1,13 @@
 """Config ingestion, sweep orchestration, CSV contracts, plots, CLI."""
 import csv
 import json
+import math
 import statistics
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, strategies as st
 
 import wsnburst.experiments as ex
 from wsnburst.cli import main as cli_main
@@ -148,8 +150,10 @@ def test_sweep_seed_override_changes_rows(tmp_path):
     assert base.rows[0].mpd_s != other.rows[0].mpd_s
 
 
-def test_summary_matches_independent_recompute(tmp_path):
-    payload = {**FAST, "days": 3, "b": {"start": 0.3, "stop": 0.5, "step": 0.2},
+def _check_summary_against_recompute(tmp_path, days):
+    """Recompute summary.csv from results.csv with the stdlib; returns the
+    summary rows."""
+    payload = {**FAST, "days": days, "b": {"start": 0.3, "stop": 0.5, "step": 0.2},
                "out_dir": str(tmp_path / "out")}
     output = run_sweep(config_from_dict(payload))
 
@@ -175,6 +179,28 @@ def test_summary_matches_independent_recompute(tmp_path):
         assert row["max"] == fmt9(max(values))
         assert row["cv"] == fmt9(cv)
         assert float(row["mean"]) == pytest.approx(mean, rel=5e-9, abs=1e-12)
+        assert row["days"] == str(days)
+    return summary
+
+
+def test_summary_matches_independent_recompute(tmp_path):
+    _check_summary_against_recompute(tmp_path, days=3)
+
+
+def test_summary_single_day_has_no_spread(tmp_path):
+    for row in _check_summary_against_recompute(tmp_path, days=1):
+        assert row["mean"] == row["min"] == row["max"]
+        assert row["cv"] == fmt9(0.0)
+
+
+def test_parallel_sweep_matches_serial(tmp_path):
+    payload = {**FAST, "days": 2, "b": {"start": 0.3, "stop": 0.5, "step": 0.2}}
+    serial = run_sweep(config_from_dict({**payload, "out_dir": str(tmp_path / "serial")}))
+    parallel = run_sweep(config_from_dict({**payload, "out_dir": str(tmp_path / "parallel")}),
+                         parallel=2)
+    assert len(serial.rows) == 4
+    assert parallel.results_csv.read_bytes() == serial.results_csv.read_bytes()
+    assert parallel.summary_csv.read_bytes() == serial.summary_csv.read_bytes()
 
 
 def test_run_point_failure_recorded_not_raised(monkeypatch):
@@ -205,6 +231,7 @@ def test_row_seed_recorded_and_rederivable(tmp_path):
     (86_400.0, "86400.0000"),
     (0.0009765625, "0.000976562500"),
     (123456789.0, "123456789"),
+    (9.9999999996, "10.0000000"),
     (None, ""),
 ])
 def test_fmt9_fixed_notation(x, expected):
@@ -215,6 +242,21 @@ def test_fmt9_nine_significant_digits():
     s = fmt9(1.0 / 3.0)
     assert s == "0.333333333"
     assert "e" not in fmt9(1e-7) and fmt9(1e-7).startswith("0.0000001")
+
+
+# values that round up to the next power of ten at 9 digits
+_BELOW_POWERS_OF_TEN = st.integers(-11, 8).map(lambda e: 10.0**e * (1.0 - 4e-10))
+
+
+# fixed notation can show 9 digits only below 999999999.5, which rounds to 1e9
+@given(st.one_of(st.floats(min_value=1e-12, max_value=999_999_999.5, exclude_max=True),
+                 _BELOW_POWERS_OF_TEN), st.booleans())
+def test_fmt9_writes_nine_significant_digits(magnitude, negative):
+    x = -magnitude if negative else magnitude
+    text = fmt9(x)
+    digits = text.lstrip("-").replace(".", "").lstrip("0")
+    assert len(digits) == 9, text
+    assert math.isclose(float(text), x, rel_tol=5e-9)
 
 
 # -------------------------------------------------------------- plot data

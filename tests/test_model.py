@@ -9,7 +9,7 @@ from wsnburst.dists import Deterministic, Exponential, ParameterError, Pareto, m
 from wsnburst.model import (DeterministicLaw, DiscretizedLaw, DistKind, GeometricLaw,
                             SinkParams, SourceParams, blowup_points, bulk_factor,
                             bulk_law_for, burstiness, derive_source_params,
-                            law_for_kind, mpd_bulk_limit, mpd_smooth_limit)
+                            mpd_bulk_limit, mpd_smooth_limit)
 
 
 def brute_force_geometric_bulk_factor(m: float) -> float:
@@ -221,7 +221,9 @@ def test_geometric_law_sampling(rng):
 
 def test_discretized_law_mean_within_one_percent():
     for kind in ("pareto", "tpt:30"):
-        law = law_for_kind(DistKind.parse(kind), 50.0)
+        params = derive_source_params(50.0, 1, 50.0, 0.5, DistKind.parse(kind),
+                                      DistKind.parse("exp"))
+        law = bulk_law_for(params)
         assert isinstance(law, DiscretizedLaw)
         assert law.mean_packets() == pytest.approx(50.0, rel=0.01)
 

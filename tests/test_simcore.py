@@ -10,9 +10,9 @@ from wsnburst.dists import Deterministic
 from wsnburst.model import (EMISSION_CONST, EMISSION_POISSON, DeterministicLaw,
                             DistKind, SourceParams, derive_source_params)
 from wsnburst.rng import derive_seed, substream
-from wsnburst.simcore import (NodeState, RunConfig, collect_metrics,
-                              estimate_overflow, fifo_departures, packets_seen,
-                              run_replication, source_emit, time_average_in_system)
+from wsnburst.simcore import (TRACE_COLUMNS, NodeState, RunConfig, estimate_overflow,
+                              fifo_departures, packets_seen, run_replication, simulate,
+                              source_emit, time_average_in_system, write_trace_csv)
 from wsnburst.topology import ClusterSpec, NodeSpec, TopologySpec
 
 from reference import fifo_event_loop
@@ -146,12 +146,14 @@ def test_replication_bitwise_deterministic():
     topo = _star(v=100.0)
     src = bursty_params(b=0.6, on="tpt:10")
     cfg = RunConfig(horizon_s=7200.0, warmup_s=600.0)
-    a = run_replication(topo, {"cluster_1": src}, cfg, seed=77, keep_states=True)
-    b = run_replication(topo, {"cluster_1": src}, cfg, seed=77, keep_states=True)
+    a = run_replication(topo, {"cluster_1": src}, cfg, seed=77)
+    b = run_replication(topo, {"cluster_1": src}, cfg, seed=77)
     assert a.per_node == b.per_node
-    assert np.array_equal(a.states["sink"].depart, b.states["sink"].depart)
-    c = run_replication(topo, {"cluster_1": src}, cfg, seed=78, keep_states=True)
-    assert not np.array_equal(a.states["sink"].depart, c.states["sink"].depart)
+    sink_a = simulate(topo, {"cluster_1": src}, cfg, seed=77)["sink"]
+    sink_b = simulate(topo, {"cluster_1": src}, cfg, seed=77)["sink"]
+    assert np.array_equal(sink_a.depart, sink_b.depart)
+    sink_c = simulate(topo, {"cluster_1": src}, cfg, seed=78)["sink"]
+    assert not np.array_equal(sink_a.depart, sink_c.depart)
 
 
 def test_adding_a_cluster_does_not_perturb_other_streams():
@@ -161,10 +163,10 @@ def test_adding_a_cluster_does_not_perturb_other_streams():
     t3 = wb.build_case3(1, 50.0, 0.5)
     s2 = {c.cluster_id: bursty_params(50.0, 1, b=0.5) for c in t2.clusters}
     s3 = {c.cluster_id: bursty_params(50.0, 1, b=0.5) for c in t3.clusters}
-    r2 = run_replication(t2, s2, cfg, seed=5, keep_states=True)
-    r3 = run_replication(t3, s3, cfg, seed=5, keep_states=True)
-    np.testing.assert_array_equal(r2.states["relay_1"].arrive, r3.states["relay_1"].arrive)
-    np.testing.assert_array_equal(r2.states["relay_1"].depart, r3.states["relay_1"].depart)
+    r2 = simulate(t2, s2, cfg, seed=5)
+    r3 = simulate(t3, s3, cfg, seed=5)
+    np.testing.assert_array_equal(r2["relay_1"].arrive, r3["relay_1"].arrive)
+    np.testing.assert_array_equal(r2["relay_1"].depart, r3["relay_1"].depart)
 
 
 def test_saturated_flag_on_overloaded_node():
@@ -192,10 +194,8 @@ def test_case2_throughput_conservation_single_day():
 def test_fifo_order_preserved_in_replication():
     topo = _star()
     src = bursty_params(b=0.8)
-    res = run_replication(topo, {"cluster_1": src},
-                          RunConfig(horizon_s=3600.0, warmup_s=100.0), seed=12,
-                          keep_states=True)
-    st = res.states["sink"]
+    st = simulate(topo, {"cluster_1": src},
+                  RunConfig(horizon_s=3600.0, warmup_s=100.0), seed=12)["sink"]
     assert np.all(np.diff(st.depart) >= 0)
     assert np.all(st.depart > st.arrive)
 
@@ -236,30 +236,62 @@ def test_overflow_mm1_geometric_tail():
 
 # ----------------------------------------------------------------- traces
 
+def _packet_hops(trace):
+    """Row indices of each packet's hops, keyed by (cluster, source, packet)."""
+    hops = {}
+    keys = zip(trace["cluster_id"], trace["source_id"], trace["packet_id"])
+    for row, key in enumerate(keys):
+        hops.setdefault(key, []).append(row)
+    return hops
+
+
 def test_trace_timestamps_and_end_to_end_consistency():
     topo = wb.build_case2(1, 2.0, 0.5)
     sources = {c.cluster_id: bursty_params(2.0, 1, n_p=4.0, b=0.5) for c in topo.clusters}
     cfg = RunConfig(horizon_s=300.0, warmup_s=10.0, trace=True)
     res = run_replication(topo, sources, cfg, seed=77)
-    assert res.trace
-    for p in res.trace:
-        hops = p.hops
-        assert all(d >= a for _, a, d in hops)
+    tr = res.trace
+    assert tr["packet_id"]
+    hops = _packet_hops(tr)
+    for rows in hops.values():
+        arrive = [tr["arrive"][r] for r in rows]
+        depart = [tr["depart"][r] for r in rows]
+        created = tr["created_at"][rows[0]]
+        assert all(d >= a for a, d in zip(arrive, depart))
         # nondecreasing along the path, instantaneous handoff between hops
-        for (_, a0, d0), (_, a1, d1) in zip(hops, hops[1:]):
+        for d0, a1 in zip(depart, arrive[1:]):
             assert d0 == pytest.approx(a1, abs=1e-12)
-        assert hops[0][1] == pytest.approx(p.created_at, abs=1e-12)
-        total = sum(d - a for _, a, d in hops)
-        assert total == pytest.approx(hops[-1][2] - p.created_at, rel=1e-9)
-        assert p.size_bytes > 0.0
+        assert arrive[0] == pytest.approx(created, abs=1e-12)
+        total = sum(d - a for a, d in zip(arrive, depart))
+        assert total == pytest.approx(depart[-1] - created, rel=1e-9)
+        assert all(tr["size_bytes"][r] > 0.0 for r in rows)
     # every traced relay packet that departs in time reaches the sink
-    relayed = [p for p in res.trace if p.cluster_id == "cluster_1"]
-    two_hop = [p for p in relayed if len(p.hops) == 2]
+    two_hop = [rows for (cluster, _, _), rows in hops.items()
+               if cluster == "cluster_1" and len(rows) == 2]
     assert two_hop, "expected relayed packets with two queue hops"
 
 
+def test_trace_columns_contract():
+    topo = wb.build_case2(2, 2.0, 0.5)
+    sources = {c.cluster_id: bursty_params(2.0, 2, n_p=4.0, b=0.5) for c in topo.clusters}
+    cfg = RunConfig(horizon_s=300.0, warmup_s=10.0, trace=True)
+    res = run_replication(topo, sources, cfg, seed=21)
+    tr = res.trace
+    assert tuple(tr) == TRACE_COLUMNS
+    assert {len(column) for column in tr.values()} == {len(tr["packet_id"])}
+    assert len(tr["packet_id"]) == sum(m.arrivals_total for m in res.per_node.values())
+    cluster_index = {c.cluster_id: i for i, c in enumerate(topo.clusters)}
+    order = [(cluster_index[c], int(s.partition("s")[2]), p, a) for c, s, p, a in
+             zip(tr["cluster_id"], tr["source_id"], tr["packet_id"], tr["arrive"])]
+    assert order == sorted(order)
+    hops = _packet_hops(tr)
+    assert any(len(rows) == 2 for rows in hops.values())
+    for rows in hops.values():
+        assert len({tr["size_bytes"][r] for r in rows}) == 1
+        assert len({tr["created_at"][r] for r in rows}) == 1
+
+
 def test_trace_csv_roundtrip(tmp_path):
-    from wsnburst.simcore import write_trace_csv
     topo = _star(lam=1.0, v=4.0)
     src = bursty_params(lam=1.0, n_p=2.0, b=0.5)
     cfg = RunConfig(horizon_s=60.0, warmup_s=5.0, trace=True)
@@ -268,32 +300,9 @@ def test_trace_csv_roundtrip(tmp_path):
     write_trace_csv(res.trace, out)
     lines = out.read_text().splitlines()
     assert lines[0].startswith("packet_id,source_id,cluster_id,created_at")
-    assert len(lines) == 1 + sum(len(p.hops) for p in res.trace)
-
-
-# --------------------------------------------------------- collect_metrics
-
-def test_collect_metrics_single_replication_identity():
-    topo = _star()
-    src = bursty_params(b=0.3)
-    res = run_replication(topo, {"cluster_1": src},
-                          RunConfig(horizon_s=3600.0, warmup_s=100.0), seed=1)
-    report = collect_metrics([res])
-    stat = report.summary["sink"]["mpd_s"]
-    assert stat.mean == stat.min == stat.max == res.per_node["sink"].mpd_s
-    assert stat.cv == 0.0
-
-
-def test_collect_metrics_identical_seeds_zero_variance():
-    topo = _star()
-    src = bursty_params(b=0.3)
-    cfg = RunConfig(horizon_s=3600.0, warmup_s=100.0)
-    reps = [run_replication(topo, {"cluster_1": src}, cfg, seed=9, day=d) for d in range(3)]
-    report = collect_metrics(reps)
-    for stat in report.summary["sink"].values():
-        assert stat.min == stat.max          # bitwise-identical days
-        assert stat.cv < 1e-12               # mean-of-identicals float noise only
-    assert len(report.days) == 3 * 2  # sink + cluster rows per day
+    assert len(lines) == 1 + len(res.trace["packet_id"])
+    first = lines[1].split(",")
+    assert first == [str(res.trace[name][0]) for name in TRACE_COLUMNS]
 
 
 def test_time_average_in_system_simple_interval():
