@@ -10,12 +10,12 @@ Exit codes: 0 success, 2 configuration error, 3 runtime failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 
 from .dists import ParameterError
-from .experiments import (ConfigError, blowup_table, build_topology, fmt9,
-                          limits_table, load_config, run_sweep)
+from .experiments import (ConfigError, blowup_table, build_topology, cluster_sources,
+                          fmt9, limits_table, load_config, run_sweep, write_csv)
+from .model import bulk_law_for
 from .topology import validate_topology
 
 EXIT_OK = 0
@@ -89,9 +89,9 @@ def _cmd_analytic(args) -> int:
         for row in rows:
             print(f"{row['N']:>4} {row['rho']:>10.6f} {row['i']:>4} {row['b_i']:>14.6f}")
         if args.csv:
-            _write_csv(args.csv, ["N", "rho", "i", "b_i"],
-                       [[row["N"], fmt9(row["rho"]), row["i"], fmt9(row["b_i"])]
-                        for row in rows])
+            write_csv(args.csv, ["N", "rho", "i", "b_i"],
+                      [[row["N"], fmt9(row["rho"]), row["i"], fmt9(row["b_i"])]
+                       for row in rows])
         return EXIT_OK
 
     table = limits_table(args.v, args.rho, args.law)
@@ -101,10 +101,10 @@ def _cmd_analytic(args) -> int:
           f"{table['mpd_smooth_s']:>14.6f} {table['bulk_factor_D']:>12.6f} "
           f"{table['mpd_bulk_s']:>14.6f}")
     if args.csv:
-        _write_csv(args.csv, ["v", "rho", "law", "mpd_smooth_s", "bulk_factor_D", "mpd_bulk_s"],
-                   [[fmt9(table["v"]), fmt9(table["rho"]), table["law"],
-                     fmt9(table["mpd_smooth_s"]), fmt9(table["bulk_factor_D"]),
-                     fmt9(table["mpd_bulk_s"])]])
+        write_csv(args.csv, ["v", "rho", "law", "mpd_smooth_s", "bulk_factor_D", "mpd_bulk_s"],
+                  [[fmt9(table["v"]), fmt9(table["rho"]), table["law"],
+                    fmt9(table["mpd_smooth_s"]), fmt9(table["bulk_factor_D"]),
+                    fmt9(table["mpd_bulk_s"])]])
     return EXIT_OK
 
 
@@ -128,6 +128,12 @@ def _cmd_validate(args) -> int:
         topo = build_topology(config, n)
         for issue in validate_topology(topo):
             problems.append(f"N={n}: {issue}")
+        for b in config.b_values():
+            try:   # building the burst-size laws refuses what a run would
+                for params in cluster_sources(config, topo, b).values():
+                    bulk_law_for(params)
+            except ParameterError as exc:
+                problems.append(f"N={n}, b={fmt9(b)}: {exc}")
     if problems:
         for line in problems:
             print(f"invalid: {line}", file=sys.stderr)
@@ -136,13 +142,6 @@ def _cmd_validate(args) -> int:
     print(f"config ok: case {config.case}, {points} replications "
           f"({len(config.n_list)} N x {len(config.b_values())} b x {config.days} days)")
     return EXIT_OK
-
-
-def _write_csv(path, header, rows) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
 
 
 if __name__ == "__main__":

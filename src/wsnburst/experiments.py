@@ -25,8 +25,8 @@ import numpy as np
 
 from . import __version__
 from .dists import ParameterError
-from .model import (DistKind, DeterministicLaw, GeometricLaw, bulk_factor,
-                    blowup_points, derive_source_params, mpd_bulk_limit,
+from .model import (DistKind, DeterministicLaw, GeometricLaw, SourceParams,
+                    bulk_factor, blowup_points, derive_source_params, mpd_bulk_limit,
                     mpd_smooth_limit)
 from .rng import derive_seed
 from .simcore import ReplicationResult, RunConfig, run_replication, write_trace_csv
@@ -84,19 +84,22 @@ class SimConfig:
     raw: dict = field(default_factory=dict, compare=False)
 
     def b_values(self) -> list[float]:
-        vals, k = [], 0
-        while True:
-            v = round(self.b_start + k * self.b_step, 9)
-            if v > self.b_stop + 1e-9:
-                return vals
-            vals.append(v)
-            k += 1
+        return _grid(self.b_start, self.b_stop, self.b_step)
 
     def on(self) -> DistKind:
         return DistKind.parse(self.on_kind, alpha=self.alpha, theta=self.theta)
 
     def off(self) -> DistKind:
         return DistKind.parse(self.off_kind, alpha=self.alpha, theta=self.theta)
+
+
+def _grid(lo: float, hi: float, step: float) -> list[float]:
+    """lo, lo + step, ... up to hi, each rounded to 9 decimals."""
+    vals, k = [], 0
+    while (v := round(lo + k * step, 9)) <= hi + 1e-9:
+        vals.append(v)
+        k += 1
+    return vals
 
 
 def load_config(path) -> SimConfig:
@@ -309,6 +312,16 @@ def row_seed(master: int, case: int, n: int, b: float, day: int) -> int:
     return derive_seed(master, case, n, int(round(b * 1e6)), day)
 
 
+def cluster_sources(config: SimConfig, topo: TopologySpec,
+                    b: float) -> dict[str, SourceParams]:
+    """Per-source parameters of every cluster of ``topo`` at burstiness b."""
+    on_kind, off_kind = config.on(), config.off()
+    return {c.cluster_id: derive_source_params(
+                c.arrival_rate, c.n_sources, config.n_p, b, on_kind, off_kind,
+                emission_mode=config.emission_mode)
+            for c in topo.clusters}
+
+
 def run_point(config: SimConfig, n: int, b: float, day: int) -> list[SweepRow]:
     """One replication of one sweep point, expanded to its entity rows."""
     seed = row_seed(config.seed, config.case, n, b, day)
@@ -316,13 +329,7 @@ def run_point(config: SimConfig, n: int, b: float, day: int) -> list[SweepRow]:
                 T=config.on().T or 1, off_kind=config.off_kind, day=day, seed=seed)
     try:
         topo = build_topology(config, n)
-        on_kind, off_kind = config.on(), config.off()
-        sources = {
-            c.cluster_id: derive_source_params(
-                c.arrival_rate, c.n_sources, config.n_p, b, on_kind, off_kind,
-                emission_mode=config.emission_mode)
-            for c in topo.clusters
-        }
+        sources = cluster_sources(config, topo, b)
         run_cfg = RunConfig(horizon_s=config.horizon_s, warmup_s=config.warmup_s,
                             trace=config.trace)
         result = run_replication(topo, sources, run_cfg, seed, day=day)
@@ -394,11 +401,13 @@ def run_sweep(config: SimConfig, out_dir=None, seed: Optional[int] = None,
     rows = [row for chunk in chunks for row in chunk]
 
     results_csv = out / "results.csv"
-    _write_results(rows, results_csv)
+    write_csv(results_csv, RESULT_COLUMNS, (row.as_csv() for row in rows))
     parsed = read_results_csv(results_csv)
     summary_rows = summarize(parsed)
     summary_csv = out / "summary.csv"
-    _write_summary(summary_rows, summary_csv)
+    write_csv(summary_csv, SUMMARY_COLUMNS,   # mean, min, max and cv in 9 digits
+              ([row[k] for k in SUMMARY_COLUMNS[:9]]
+               + [fmt9(row[k]) for k in SUMMARY_COLUMNS[9:]] for row in summary_rows))
     plot_files = emit_plotdata(summary_rows, out / "plots")
     manifest = out / "run_manifest.json"
     _write_manifest(config, manifest)
@@ -410,12 +419,12 @@ def _run_point_star(args):
     return run_point(*args)
 
 
-def _write_results(rows: list[SweepRow], path: Path) -> None:
+def write_csv(path, header, rows) -> None:
+    """A header line, then one line per row; LF line endings."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(RESULT_COLUMNS)
-        for row in rows:
-            writer.writerow(row.as_csv())
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def read_results_csv(path) -> list[dict]:
@@ -464,17 +473,6 @@ def summarize(parsed_rows: list[dict]) -> list[dict]:
 
 SUMMARY_COLUMNS = ["case", "N", "b", "on_kind", "T", "off_kind", "entity",
                    "metric", "days", "mean", "min", "max", "cv"]
-
-
-def _write_summary(summary_rows: list[dict], path: Path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(SUMMARY_COLUMNS)
-        for row in summary_rows:
-            writer.writerow([row["case"], row["N"], row["b"], row["on_kind"],
-                             row["T"], row["off_kind"], row["entity"], row["metric"],
-                             str(row["days"]), fmt9(row["mean"]), fmt9(row["min"]),
-                             fmt9(row["max"]), fmt9(row["cv"])])
 
 
 def _write_manifest(config: SimConfig, path: Path) -> None:
@@ -553,16 +551,7 @@ def blowup_table(n: int, rho: float,
                  rho_sweep: Optional[tuple[float, float, float]] = None) -> list[dict]:
     """Blow-up point locations; with ``rho_sweep`` the table covers the
     utilization sensitivity (a, b, step)."""
-    rhos = [rho]
-    if rho_sweep is not None:
-        lo, hi, step = rho_sweep
-        rhos, k = [], 0
-        while True:
-            r = round(lo + k * step, 9)
-            if r > hi + 1e-9:
-                break
-            rhos.append(r)
-            k += 1
+    rhos = [rho] if rho_sweep is None else _grid(*rho_sweep)
     out = []
     for r in rhos:
         for i, b in enumerate(blowup_points(n, r), start=1):

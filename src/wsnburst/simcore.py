@@ -28,7 +28,7 @@ import numpy as np
 from .dists import ParameterError, sample, sample_array
 from .model import EMISSION_POISSON, BulkSizeLaw, SourceParams, bulk_law_for
 from .rng import derive_seed, fnv1a64, substream
-from .topology import ROLE_RELAY, ROLE_SINK, TopologySpec, validate_topology
+from .topology import TopologySpec, validate_topology
 
 _SRC_TAG = fnv1a64("source")
 _SVC_TAG = fnv1a64("service")
@@ -61,7 +61,6 @@ class NodeState:
     the creation stamp of each arriving packet."""
 
     node_id: str
-    service_rate: float
     threshold: int
     arrive: np.ndarray
     depart: np.ndarray
@@ -167,7 +166,7 @@ def packets_seen(arrive: np.ndarray, depart: np.ndarray) -> np.ndarray:
         depart, arrive, side="right")
 
 
-def estimate_overflow(state: NodeState, warmup: float, horizon: float) -> tuple[float, bool]:
+def estimate_overflow(state: NodeState, warmup: float) -> tuple[float, bool]:
     """Fraction of post-warm-up arrivals finding >= threshold packets in the
     node.  Buffers are infinite; nothing is dropped.  With no measurable
     arrivals the probability is reported as 0 with a defined=False flag."""
@@ -229,8 +228,6 @@ def simulate(topo: TopologySpec, sources: Mapping[str, SourceParams],
     for node in topo.queue_nodes():
         inputs: list[dict] = []
         for child_id in topo.children_of(node.node_id):
-            if topo.node(child_id).role not in (ROLE_RELAY, ROLE_SINK):
-                continue
             st = states[child_id]
             mask = st.depart <= horizon    # later departures never reach the parent
             inputs.append({"times": st.depart[mask],
@@ -244,8 +241,8 @@ def simulate(topo: TopologySpec, sources: Mapping[str, SourceParams],
         depart = fifo_departures(arrive, service)
         del service
         states[node.node_id] = NodeState(
-            node_id=node.node_id, service_rate=node.service_rate,
-            threshold=node.threshold, arrive=arrive, depart=depart, **merged)
+            node_id=node.node_id, threshold=node.threshold, arrive=arrive,
+            depart=depart, **merged)
     return states
 
 
@@ -265,7 +262,7 @@ def run_replication(topo: TopologySpec, sources: Mapping[str, SourceParams],
     saturated = any(topo.offered_load(node.node_id) >= node.service_rate * (1.0 - 1e-12)
                     for node in topo.queue_nodes())
     per_cluster, overall_e2e, overall_n = _cluster_metrics(
-        topo, clusters, states.get(topo.sink_id), metrics, warmup, horizon)
+        clusters, states[topo.sink_id], metrics, warmup, horizon)
     return ReplicationResult(
         day=day, seed=seed, horizon_s=horizon, warmup_s=warmup,
         saturated=saturated, per_node=metrics, per_cluster=per_cluster,
@@ -285,7 +282,7 @@ def _node_metrics(state: NodeState, warmup: float, horizon: float,
         mpd = float(np.mean(state.depart[measured] - state.arrive[measured]))
     else:
         mpd = 0.0
-    overflow, defined = estimate_overflow(state, warmup, horizon)
+    overflow, defined = estimate_overflow(state, warmup)
     queue_len = time_average_in_system(state.arrive, state.depart, warmup, horizon)
 
     per_cluster_counts = np.bincount(state.cluster[in_window], minlength=n_clusters)
@@ -300,27 +297,21 @@ def _node_metrics(state: NodeState, warmup: float, horizon: float,
         cluster_throughput_pps=cluster_thr)
 
 
-def _cluster_metrics(topo, clusters, sink_state, node_metrics, warmup, horizon):
+def _cluster_metrics(clusters, sink, node_metrics, warmup, horizon):
+    measured = (sink.created > warmup) & (sink.depart <= horizon)
+    e2e = sink.depart[measured] - sink.created[measured]
+    idx = sink.cluster[measured]
+    sums = np.bincount(idx, weights=e2e, minlength=len(clusters))
+    counts = np.bincount(idx, minlength=len(clusters))
+    overall_n = int(counts.sum())
+    overall_e2e = float(sums.sum() / overall_n) if overall_n else 0.0
     per_cluster: dict[str, ClusterMetrics] = {}
-    overall_e2e, overall_n = 0.0, 0
-    if sink_state is not None and sink_state.arrive.size:
-        measured = (sink_state.created > warmup) & (sink_state.depart <= horizon)
-        e2e = sink_state.depart[measured] - sink_state.created[measured]
-        idx = sink_state.cluster[measured]
-        sums = np.bincount(idx, weights=e2e, minlength=len(clusters))
-        counts = np.bincount(idx, minlength=len(clusters))
-        overall_n = int(counts.sum())
-        overall_e2e = float(sums.sum() / overall_n) if overall_n else 0.0
-    else:
-        sums = np.zeros(len(clusters))
-        counts = np.zeros(len(clusters), dtype=np.int64)
     for ci, cluster in enumerate(clusters):
-        entry = cluster.attach
-        thr = node_metrics[entry].cluster_throughput_pps.get(ci, 0.0)
         n = int(counts[ci])
         per_cluster[cluster.cluster_id] = ClusterMetrics(
             e2e_delay_s=float(sums[ci] / n) if n else 0.0,
-            throughput_pps=thr, packets=n, entry_node=entry)
+            throughput_pps=node_metrics[cluster.attach].cluster_throughput_pps[ci],
+            packets=n, entry_node=cluster.attach)
     return per_cluster, overall_e2e, overall_n
 
 
@@ -332,35 +323,19 @@ def _exclusive_cumsum_int(x: np.ndarray) -> np.ndarray:
 
 
 def _merge_inputs(inputs: list[dict]) -> dict:
-    """Fold sorted input streams into one sorted stream, stable across the
-    given input order (the simultaneous-event tie-break)."""
+    """Merge sorted input streams into one sorted stream: one stable sort
+    over the inputs in their given order, so on simultaneous events the
+    earlier input goes first.  Empty inputs are skipped; a single input is
+    returned as is."""
     if not inputs:
         return {"times": np.empty(0), "created": np.empty(0),
                 "cluster": np.empty(0, dtype=np.int16), "source": np.empty(0, dtype=np.int32),
                 "pid": np.empty(0, dtype=np.int64), "size": np.empty(0)}
-    merged = inputs[0]
-    for nxt in inputs[1:]:
-        merged = _merge_two(merged, nxt)
-    return merged
-
-
-def _merge_two(a: dict, b: dict) -> dict:
-    """Linear-time stable merge of two sorted streams (a wins ties)."""
-    ta, tb = a["times"], b["times"]
-    n, m = ta.size, tb.size
-    if m == 0:
-        return a
-    if n == 0:
-        return b
-    pos_a = np.searchsorted(tb, ta, side="left") + np.arange(n, dtype=np.int64)
-    pos_b = np.searchsorted(ta, tb, side="right") + np.arange(m, dtype=np.int64)
-    out: dict = {}
-    for key in a:
-        dest = np.empty(n + m, dtype=a[key].dtype)
-        dest[pos_a] = a[key]
-        dest[pos_b] = b[key]
-        out[key] = dest
-    return out
+    inputs = [s for s in inputs if s["times"].size] or inputs[:1]
+    if len(inputs) == 1:
+        return inputs[0]
+    order = np.argsort(np.concatenate([s["times"] for s in inputs]), kind="stable")
+    return {key: np.concatenate([s[key] for s in inputs])[order] for key in inputs[0]}
 
 
 def _trace_columns(clusters, states: dict[str, NodeState]) -> dict[str, list]:

@@ -1,14 +1,15 @@
 """Case-study network shapes: directed trees of queues rooted at the sink.
 
-Sources are grouped into clusters; a cluster hands its packets straight
-into the queue of the node it attaches to (a relay or the sink).  Relays
-and the sink are FIFO infinite-buffer servers.  Three builders cover the
-studied layouts:
+The tree holds queues only: relays and the sink, FIFO infinite-buffer
+servers, linked child -> parent.  Sources are grouped into clusters; a
+cluster hands its packets straight into the queue named by its
+``attach`` (a relay or the sink).  Three builders cover the studied
+layouts:
 
-* ``build_star``    -- N sources -> sink (depth 2).
-* ``build_case2``   -- two clusters -> two relays -> sink (depth 3).
-* ``build_case3``   -- case 2 plus a third cluster wired straight into
-                       the sink (depth 3).
+* ``build_star``    -- N sources -> sink.
+* ``build_case2``   -- two clusters -> two relays -> sink.
+* ``build_case3``   -- case 2 plus a third cluster attached straight to
+                       the sink.
 
 For the relayed layouts every server is set to see the same utilization:
 relays keep v = lambda/rho and the sink is scaled to its total inflow
@@ -23,7 +24,6 @@ from typing import Optional
 from .dists import ParameterError
 from .model import SinkParams
 
-ROLE_CLUSTER = "source-cluster"
 ROLE_RELAY = "relay"
 ROLE_SINK = "sink"
 
@@ -32,8 +32,8 @@ ROLE_SINK = "sink"
 class NodeSpec:
     node_id: str
     role: str
-    service_rate: Optional[float] = None   # packets/s; None for cluster nodes
-    threshold: Optional[int] = None        # overflow-counting threshold B
+    service_rate: float    # packets/s
+    threshold: int         # overflow-counting threshold B
 
 
 @dataclass(frozen=True)
@@ -46,10 +46,9 @@ class ClusterSpec:
 
 @dataclass(frozen=True)
 class TopologySpec:
-    nodes: tuple[NodeSpec, ...]
+    nodes: tuple[NodeSpec, ...]          # queues: relays and the sink
     edges: tuple[tuple[str, str], ...]   # (child, parent), oriented toward the sink
     clusters: tuple[ClusterSpec, ...]
-    depth: int                           # declared level count, validated
 
     def node(self, node_id: str) -> NodeSpec:
         for n in self.nodes:
@@ -64,12 +63,6 @@ class TopologySpec:
                 return n.node_id
         raise ParameterError("topology has no sink")
 
-    def parent_of(self, node_id: str) -> Optional[str]:
-        for child, parent in self.edges:
-            if child == node_id:
-                return parent
-        return None
-
     def children_of(self, node_id: str) -> list[str]:
         return [c for c, p in self.edges if p == node_id]
 
@@ -80,24 +73,18 @@ class TopologySpec:
         def visit(node_id: str) -> None:
             for child in self.children_of(node_id):
                 visit(child)
-            spec = self.node(node_id)
-            if spec.role in (ROLE_RELAY, ROLE_SINK):
-                order.append(spec)
+            order.append(self.node(node_id))
 
         visit(self.sink_id)
         return order
 
     def clusters_at(self, node_id: str) -> list[ClusterSpec]:
-        ids = {c for c, p in self.edges if p == node_id}
-        return [c for c in self.clusters if c.cluster_id in ids and c.attach == node_id]
+        return [c for c in self.clusters if c.attach == node_id]
 
     def offered_load(self, node_id: str) -> float:
         """Mean packet rate through a queue node (its whole subtree)."""
-        total = sum(c.arrival_rate for c in self.clusters_at(node_id))
-        for child in self.children_of(node_id):
-            if self.node(child).role in (ROLE_RELAY, ROLE_SINK):
-                total += self.offered_load(child)
-        return total
+        own = sum(c.arrival_rate for c in self.clusters_at(node_id))
+        return sum((self.offered_load(child) for child in self.children_of(node_id)), own)
 
 
 def build_star(n_sources: int, lambda_total: float, v: float,
@@ -108,78 +95,54 @@ def build_star(n_sources: int, lambda_total: float, v: float,
     if not lambda_total > 0.0:
         raise ParameterError(f"lambda_total must be > 0, got {lambda_total}")
     SinkParams(v=v, rho=lambda_total / v, B=threshold)  # validates rates/threshold
-    nodes = (
-        NodeSpec("cluster_1", ROLE_CLUSTER),
-        NodeSpec("sink", ROLE_SINK, service_rate=v, threshold=threshold),
-    )
-    clusters = (ClusterSpec("cluster_1", n_sources, attach="sink",
-                            arrival_rate=lambda_total),)
-    return TopologySpec(nodes=nodes, edges=(("cluster_1", "sink"),),
-                        clusters=clusters, depth=2)
+    return TopologySpec(
+        nodes=(NodeSpec("sink", ROLE_SINK, service_rate=v, threshold=threshold),),
+        edges=(),
+        clusters=(ClusterSpec("cluster_1", n_sources, attach="sink",
+                              arrival_rate=lambda_total),))
 
 
 def build_case2(n_per_cluster: int, lambda_per_relay: float = 50.0,
-                rho_target: float = 0.5, *, v_relay: Optional[float] = None,
-                sink_service_rate: Optional[float] = None,
+                rho_target: float = 0.5, *, sink_service_rate: Optional[float] = None,
                 threshold: int = 1000) -> TopologySpec:
     """Two clusters of N sources, each behind its own relay, then the sink."""
-    if n_per_cluster < 1:
-        raise ParameterError(f"n_per_cluster must be >= 1, got {n_per_cluster}")
-    if not lambda_per_relay > 0.0:
-        raise ParameterError(f"lambda_per_relay must be > 0, got {lambda_per_relay}")
-    if not (0.0 < rho_target < 1.0):
-        raise ParameterError(f"rho_target must be in (0,1), got {rho_target}")
-    if v_relay is None:
-        v_relay = lambda_per_relay / rho_target
-    if sink_service_rate is None:
-        sink_service_rate = 2.0 * lambda_per_relay / rho_target
-    nodes = (
-        NodeSpec("cluster_1", ROLE_CLUSTER),
-        NodeSpec("cluster_2", ROLE_CLUSTER),
-        NodeSpec("relay_1", ROLE_RELAY, service_rate=v_relay, threshold=threshold),
-        NodeSpec("relay_2", ROLE_RELAY, service_rate=v_relay, threshold=threshold),
-        NodeSpec("sink", ROLE_SINK, service_rate=sink_service_rate, threshold=threshold),
-    )
-    edges = (("cluster_1", "relay_1"), ("cluster_2", "relay_2"),
-             ("relay_1", "sink"), ("relay_2", "sink"))
-    clusters = (
-        ClusterSpec("cluster_1", n_per_cluster, attach="relay_1", arrival_rate=lambda_per_relay),
-        ClusterSpec("cluster_2", n_per_cluster, attach="relay_2", arrival_rate=lambda_per_relay),
-    )
-    return TopologySpec(nodes=nodes, edges=edges, clusters=clusters, depth=3)
+    return _build_relayed(n_per_cluster, lambda_per_relay, rho_target, direct=False,
+                          sink_service_rate=sink_service_rate, threshold=threshold)
 
 
 def build_case3(n_per_cluster: int = 1, lambda_per_cluster: float = 50.0,
-                rho_target: float = 0.5, *, v_relay: Optional[float] = None,
-                sink_service_rate: Optional[float] = None,
+                rho_target: float = 0.5, *, sink_service_rate: Optional[float] = None,
                 threshold: int = 1000) -> TopologySpec:
-    """Two relayed clusters plus a third cluster wired straight into the sink."""
+    """Two relayed clusters plus a third cluster attached straight to the sink."""
+    return _build_relayed(n_per_cluster, lambda_per_cluster, rho_target, direct=True,
+                          sink_service_rate=sink_service_rate, threshold=threshold)
+
+
+def _build_relayed(n_per_cluster: int, lambda_per_cluster: float, rho_target: float,
+                   direct: bool, sink_service_rate: Optional[float],
+                   threshold: int) -> TopologySpec:
+    """cluster_i -> relay_i -> sink for i = 1, 2; with ``direct`` a third
+    cluster attaches to the sink."""
     if n_per_cluster < 1:
         raise ParameterError(f"n_per_cluster must be >= 1, got {n_per_cluster}")
     if not lambda_per_cluster > 0.0:
         raise ParameterError(f"lambda_per_cluster must be > 0, got {lambda_per_cluster}")
     if not (0.0 < rho_target < 1.0):
         raise ParameterError(f"rho_target must be in (0,1), got {rho_target}")
-    if v_relay is None:
-        v_relay = lambda_per_cluster / rho_target
     if sink_service_rate is None:
-        sink_service_rate = 3.0 * lambda_per_cluster / rho_target
-    nodes = (
-        NodeSpec("cluster_1", ROLE_CLUSTER),
-        NodeSpec("cluster_2", ROLE_CLUSTER),
-        NodeSpec("cluster_3", ROLE_CLUSTER),
-        NodeSpec("relay_1", ROLE_RELAY, service_rate=v_relay, threshold=threshold),
-        NodeSpec("relay_2", ROLE_RELAY, service_rate=v_relay, threshold=threshold),
-        NodeSpec("sink", ROLE_SINK, service_rate=sink_service_rate, threshold=threshold),
-    )
-    edges = (("cluster_1", "relay_1"), ("cluster_2", "relay_2"),
-             ("cluster_3", "sink"), ("relay_1", "sink"), ("relay_2", "sink"))
-    clusters = (
-        ClusterSpec("cluster_1", n_per_cluster, attach="relay_1", arrival_rate=lambda_per_cluster),
-        ClusterSpec("cluster_2", n_per_cluster, attach="relay_2", arrival_rate=lambda_per_cluster),
-        ClusterSpec("cluster_3", n_per_cluster, attach="sink", arrival_rate=lambda_per_cluster),
-    )
-    return TopologySpec(nodes=nodes, edges=edges, clusters=clusters, depth=3)
+        sink_service_rate = (3.0 if direct else 2.0) * lambda_per_cluster / rho_target
+    relays = ("relay_1", "relay_2")
+    relay_rate = lambda_per_cluster / rho_target
+    nodes = tuple(NodeSpec(r, ROLE_RELAY, service_rate=relay_rate, threshold=threshold)
+                  for r in relays)
+    nodes += (NodeSpec("sink", ROLE_SINK, service_rate=sink_service_rate,
+                       threshold=threshold),)
+    attach = relays + (("sink",) if direct else ())
+    clusters = tuple(ClusterSpec(f"cluster_{i}", n_per_cluster, attach=node_id,
+                                 arrival_rate=lambda_per_cluster)
+                     for i, node_id in enumerate(attach, start=1))
+    return TopologySpec(nodes=nodes, edges=tuple((r, "sink") for r in relays),
+                        clusters=clusters)
 
 
 def validate_topology(spec: TopologySpec) -> list[str]:
@@ -208,24 +171,14 @@ def validate_topology(spec: TopologySpec) -> list[str]:
 
     # every node reaches the sink without cycles
     parent = {c: p for c, p in spec.edges}
-    depth_by_node = {}
     for n in spec.nodes:
         seen, cur = set(), n.node_id
-        hops = 1
         while cur != sink:
             if cur in seen or cur not in parent:
                 issues.append(f"node {n.node_id} does not reach the sink: not a tree")
-                hops = None
                 break
             seen.add(cur)
             cur = parent[cur]
-            hops += 1
-        if hops is not None:
-            depth_by_node[n.node_id] = hops
-    if depth_by_node:
-        actual_depth = max(depth_by_node.values())
-        if actual_depth != spec.depth:
-            issues.append(f"depth {actual_depth} does not match declared {spec.depth}")
 
     cluster_ids = [c.cluster_id for c in spec.clusters]
     if len(set(cluster_ids)) != len(cluster_ids):
@@ -233,20 +186,14 @@ def validate_topology(spec: TopologySpec) -> list[str]:
     for c in spec.clusters:
         if c.attach not in known:
             issues.append(f"cluster {c.cluster_id} attaches to unknown node {c.attach}")
-            continue
-        if spec.node(c.attach).role not in (ROLE_RELAY, ROLE_SINK):
-            issues.append(f"cluster {c.cluster_id} must attach to a relay or the sink")
         if c.n_sources < 0:
             issues.append(f"cluster {c.cluster_id} has negative source count")
         if c.arrival_rate < 0.0:
             issues.append(f"cluster {c.cluster_id} has negative arrival rate")
-        if parent.get(c.cluster_id) != c.attach:
-            issues.append(f"cluster {c.cluster_id} edge disagrees with its attach node")
 
     for n in spec.nodes:
-        if n.role in (ROLE_RELAY, ROLE_SINK):
-            if n.service_rate is None or not n.service_rate > 0.0:
-                issues.append(f"node {n.node_id} needs a positive service rate")
-            if n.threshold is None or n.threshold < 1:
-                issues.append(f"node {n.node_id} needs a threshold >= 1")
+        if not n.service_rate > 0.0:
+            issues.append(f"node {n.node_id} needs a positive service rate")
+        if n.threshold < 1:
+            issues.append(f"node {n.node_id} needs a threshold >= 1")
     return issues

@@ -5,6 +5,7 @@ import math
 import statistics
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -14,6 +15,8 @@ from wsnburst.cli import main as cli_main
 from wsnburst.experiments import (ConfigError, blowup_table, config_from_dict,
                                   emit_plotdata, fmt9, limits_table, load_config,
                                   read_results_csv, run_point, run_sweep, summarize)
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 MINIMAL = {"case": 1, "N": [1],
            "b": {"start": 0.05, "stop": 0.95, "step": 0.05}, "on_kind": "exp"}
@@ -331,6 +334,19 @@ def test_cli_validate_ok(tmp_path, capsys):
 def test_cli_validate_bad_config_exit_2(tmp_path, capsys):
     path = write_config(tmp_path, {**FAST, "days": 0})
     assert cli_main(["validate", "--config", str(path)]) == 2
+
+
+def test_cli_validate_refuses_what_simulate_refuses(tmp_path, capsys):
+    # tpt:10 cannot be discretized to a 5-packet mean burst within 1%
+    path = write_config(tmp_path, {**FAST, "case": 2, "on_kind": "tpt:10", "n_p": 5})
+    assert cli_main(["validate", "--config", str(path)]) == 2
+    assert "N=1, b=0.500000000: discretized burst-size mean" in capsys.readouterr().err
+    assert cli_main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")]) == 3
+
+
+def test_cli_validate_shipped_configs():
+    for path in sorted(CONFIGS.glob("*.json")):
+        assert cli_main(["validate", "--config", str(path)]) == 0, path
 
 
 def test_cli_missing_config_exit_2(tmp_path):

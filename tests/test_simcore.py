@@ -107,15 +107,24 @@ def test_emission_partial_burst_cut_at_horizon():
 # --------------------------------------------------------- run_replication
 
 def test_zero_sources_give_zero_metrics():
-    nodes = (NodeSpec("cluster_1", "source-cluster"),
-             NodeSpec("sink", "sink", service_rate=10.0, threshold=5))
-    topo = TopologySpec(nodes=nodes, edges=(("cluster_1", "sink"),),
-                        clusters=(ClusterSpec("cluster_1", 0, "sink", 0.0),), depth=2)
+    topo = TopologySpec(nodes=(NodeSpec("sink", "sink", service_rate=10.0, threshold=5),),
+                        edges=(), clusters=(ClusterSpec("cluster_1", 0, "sink", 0.0),))
     res = run_replication(topo, {}, RunConfig(horizon_s=100.0, warmup_s=10.0), seed=1)
     m = res.per_node["sink"]
     assert m.mpd_s == 0.0 and m.throughput_pps == 0.0 and m.overflow_prob == 0.0
     assert not m.overflow_defined
     assert res.overall_packets == 0
+
+
+def test_empty_cluster_beside_a_live_one():
+    # the empty stream of a source-less cluster merges like any other input
+    topo = TopologySpec(nodes=(NodeSpec("sink", "sink", service_rate=100.0, threshold=10),),
+                        edges=(), clusters=(ClusterSpec("cluster_1", 0, "sink", 0.0),
+                                            ClusterSpec("cluster_2", 1, "sink", 50.0)))
+    res = run_replication(topo, {"cluster_2": bursty_params()},
+                          RunConfig(horizon_s=100.0, warmup_s=10.0), seed=1)
+    assert res.per_cluster["cluster_1"].packets == 0
+    assert res.per_cluster["cluster_2"].packets == res.overall_packets > 0
 
 
 def test_mm1_poisson_validation_mode_short():
@@ -170,10 +179,8 @@ def test_adding_a_cluster_does_not_perturb_other_streams():
 
 
 def test_saturated_flag_on_overloaded_node():
-    nodes = (NodeSpec("cluster_1", "source-cluster"),
-             NodeSpec("sink", "sink", service_rate=40.0, threshold=100))
-    topo = TopologySpec(nodes=nodes, edges=(("cluster_1", "sink"),),
-                        clusters=(ClusterSpec("cluster_1", 1, "sink", 50.0),), depth=2)
+    topo = TopologySpec(nodes=(NodeSpec("sink", "sink", service_rate=40.0, threshold=100),),
+                        edges=(), clusters=(ClusterSpec("cluster_1", 1, "sink", 50.0),))
     src = bursty_params(lam=50.0, b=0.2)
     res = run_replication(topo, {"cluster_1": src},
                           RunConfig(horizon_s=600.0, warmup_s=60.0), seed=3)
@@ -191,6 +198,18 @@ def test_case2_throughput_conservation_single_day():
     assert abs(sink_thr - child_thr) / sink_thr < 0.005
 
 
+def test_merge_ties_go_to_the_earlier_input():
+    # b=0 const emission: both sources emit at k/K, so every sink arrival
+    # time occurs twice; the stable merge puts source 0 first each time
+    topo = _star(n=2)
+    src = bursty_params(lam=50.0, n=2, b=0.0)
+    st = simulate(topo, {"cluster_1": src},
+                  RunConfig(horizon_s=600.0, warmup_s=0.0, trace=True), seed=1)["sink"]
+    first = np.flatnonzero(st.arrive[1:] == st.arrive[:-1])
+    assert first.size == 15_000
+    assert np.all(st.source[first] == 0) and np.all(st.source[first + 1] == 1)
+
+
 def test_fifo_order_preserved_in_replication():
     topo = _star()
     src = bursty_params(b=0.8)
@@ -205,9 +224,9 @@ def test_fifo_order_preserved_in_replication():
 def test_overflow_busy_period_threshold_one():
     arrive = np.array([0.0, 0.01, 0.02])
     depart = fifo_departures(arrive, np.array([1.0, 1.0, 1.0]))
-    state = NodeState("n", 1.0, 1, arrive, depart, created=arrive,
+    state = NodeState("n", 1, arrive, depart, created=arrive,
                       cluster=np.zeros(3, dtype=np.int16))
-    prob, defined = estimate_overflow(state, warmup=-1.0, horizon=10.0)
+    prob, defined = estimate_overflow(state, warmup=-1.0)
     assert defined and prob == pytest.approx(2.0 / 3.0)
 
 

@@ -10,7 +10,8 @@ from wsnburst.topology import (ClusterSpec, NodeSpec, TopologySpec, build_case2,
 def test_build_star_depth_and_utilization():
     topo = build_star(1, 50.0, 100.0, threshold=1000)
     assert validate_topology(topo) == []
-    assert topo.depth == 2
+    assert [n.node_id for n in topo.queue_nodes()] == ["sink"]
+    assert topo.clusters_at("sink") == list(topo.clusters)
     sink = topo.node("sink")
     assert topo.offered_load("sink") / sink.service_rate == pytest.approx(0.5)
 
@@ -30,7 +31,6 @@ def test_build_star_rejects_zero_rate():
 def test_build_case2_rates_and_depth():
     topo = build_case2(1, 50.0, 0.5)
     assert validate_topology(topo) == []
-    assert topo.depth == 3
     assert topo.node("relay_1").service_rate == pytest.approx(100.0)
     assert topo.node("relay_2").service_rate == pytest.approx(100.0)
     assert topo.node("sink").service_rate == pytest.approx(200.0)
@@ -43,7 +43,7 @@ def test_build_case2_rates_and_depth():
 def test_build_case2_any_n_keeps_depth():
     for n in (1, 2, 5, 10):
         topo = build_case2(n, 50.0, 0.5)
-        assert topo.depth == 3
+        assert [node.node_id for node in topo.queue_nodes()] == ["relay_1", "relay_2", "sink"]
         assert validate_topology(topo) == []
         for c in topo.clusters:
             assert c.arrival_rate / c.n_sources == pytest.approx(50.0 / n)
@@ -57,12 +57,11 @@ def test_build_case2_sink_override():
 def test_build_case3_rates_and_paths():
     topo = build_case3(1, 50.0, 0.5)
     assert validate_topology(topo) == []
-    assert topo.depth == 3
     assert topo.node("sink").service_rate == pytest.approx(300.0)
     # direct cluster: one queue hop; relayed clusters: two
-    assert topo.parent_of("cluster_3") == "sink"
-    assert topo.parent_of("cluster_1") == "relay_1"
-    assert topo.parent_of("relay_1") == "sink"
+    assert [c.cluster_id for c in topo.clusters_at("sink")] == ["cluster_3"]
+    assert [c.cluster_id for c in topo.clusters_at("relay_1")] == ["cluster_1"]
+    assert topo.children_of("sink") == ["relay_1", "relay_2"]
     assert topo.offered_load("sink") == pytest.approx(150.0)
     for node_id in ("relay_1", "relay_2", "sink"):
         v = topo.node(node_id).service_rate
@@ -87,23 +86,15 @@ def test_validate_detects_multiple_sinks():
 
 def test_validate_detects_cycle():
     nodes = (
-        NodeSpec("cluster_1", "source-cluster"),
         NodeSpec("relay_1", "relay", 100.0, 10),
         NodeSpec("relay_2", "relay", 100.0, 10),
         NodeSpec("sink", "sink", 100.0, 10),
     )
-    edges = (("cluster_1", "relay_1"), ("relay_1", "relay_2"), ("relay_2", "relay_1"))
+    edges = (("relay_1", "relay_2"), ("relay_2", "relay_1"))
     spec = TopologySpec(nodes=nodes, edges=edges,
-                        clusters=(ClusterSpec("cluster_1", 1, "relay_1", 5.0),),
-                        depth=3)
+                        clusters=(ClusterSpec("cluster_1", 1, "relay_1", 5.0),))
     issues = validate_topology(spec)
     assert any("not a tree" in i for i in issues)
-
-
-def test_validate_detects_depth_mismatch():
-    topo = build_star(1, 50.0, 100.0)
-    broken = replace(topo, depth=5)
-    assert any("depth" in i for i in validate_topology(broken))
 
 
 def test_validate_detects_bad_cluster_attachment():
@@ -115,6 +106,6 @@ def test_validate_detects_bad_cluster_attachment():
 
 def test_validate_detects_missing_service_rate():
     topo = build_star(1, 50.0, 100.0)
-    nodes = tuple(NodeSpec(n.node_id, n.role, None, n.threshold) if n.role == "sink" else n
+    nodes = tuple(NodeSpec(n.node_id, n.role, 0.0, n.threshold) if n.role == "sink" else n
                   for n in topo.nodes)
     assert any("service rate" in i for i in validate_topology(replace(topo, nodes=nodes)))
