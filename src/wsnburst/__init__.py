@@ -11,7 +11,7 @@ __version__ = "0.1.0"
 from .dists import (Deterministic, DistributionSpec, Exponential, ParameterError,
                     Pareto, TPT, mean_of, reliability, sample, sample_array,
                     tpt_calibrate)
-from .model import (BulkFactor, DeterministicLaw, DiscretizedLaw, DistKind,
+from .model import (DeterministicLaw, DiscretizedLaw, DistKind,
                     GeometricLaw, SinkParams, SourceParams, blowup_points,
                     bulk_factor, burstiness, derive_source_params, mpd_bulk_limit,
                     mpd_smooth_limit)
@@ -25,7 +25,7 @@ __all__ = [
     "Deterministic", "DistributionSpec", "Exponential", "ParameterError",
     "Pareto", "TPT", "mean_of", "reliability", "sample", "sample_array",
     "tpt_calibrate",
-    "BulkFactor", "DeterministicLaw", "DiscretizedLaw", "DistKind",
+    "DeterministicLaw", "DiscretizedLaw", "DistKind",
     "GeometricLaw", "SinkParams", "SourceParams", "blowup_points",
     "bulk_factor", "burstiness", "derive_source_params", "mpd_bulk_limit",
     "mpd_smooth_limit",

@@ -84,8 +84,8 @@ class TPT:
         w = (1.0 - self.theta) * self.theta**j / (1.0 - self.theta**self.T)
         return w
 
-    def branch_means(self) -> np.ndarray:
-        return self.lam ** np.arange(self.T) / self.mu
+    def branch_rates(self) -> np.ndarray:
+        return self.mu / self.lam ** np.arange(self.T)
 
 
 @dataclass(frozen=True)
@@ -110,8 +110,7 @@ def reliability(spec: DistributionSpec, x) -> float:
     elif isinstance(spec, Pareto):
         out = (1.0 + x / spec.scale) ** (-spec.alpha)
     elif isinstance(spec, TPT):
-        w = spec.branch_weights()
-        rates = spec.mu / spec.lam ** np.arange(spec.T)
+        w, rates = spec.branch_weights(), spec.branch_rates()
         out = np.einsum("j,j...->...", w, np.exp(-np.multiply.outer(rates, x)))
         out = np.clip(out, 0.0, 1.0)  # weight normalization is 1 +- eps
     elif isinstance(spec, Deterministic):
@@ -186,15 +185,14 @@ def sample_array(spec: DistributionSpec, rng: np.random.Generator, n: int) -> np
     raise ParameterError(f"unknown distribution spec: {spec!r}")
 
 
-def tpt_calibrate(theta: float, alpha: float, target_mean: float, T: int,
-                  lam: float | None = None) -> TPT:
+def tpt_calibrate(theta: float, alpha: float, target_mean: float, T: int) -> TPT:
     """Build a TPT spec whose untruncated tail decays as ``x**(-alpha)``
     and whose mean equals ``target_mean``.
 
-    The geometric rate factor defaults to ``lam = theta**(-1/alpha)`` (the
-    standard power-tail construction, i.e. ``theta * lam**alpha == 1``) and
-    may be overridden; ``mu`` is then solved exactly from the closed-form
-    mean, so the calibration error is at the floating-point level.
+    The geometric rate factor is ``lam = theta**(-1/alpha)`` (the standard
+    power-tail construction, i.e. ``theta * lam**alpha == 1``); ``mu`` is
+    then solved exactly from the closed-form mean, so the calibration error
+    is at the floating-point level.
     """
     if not 0.0 < theta < 1.0:
         raise ParameterError(f"theta must be in (0,1), got {theta}")
@@ -204,8 +202,7 @@ def tpt_calibrate(theta: float, alpha: float, target_mean: float, T: int,
         raise ParameterError(f"target_mean must be > 0, got {target_mean}")
     if not (isinstance(T, int) and T >= 1):
         raise ParameterError(f"T must be an integer >= 1, got {T}")
-    if lam is None:
-        lam = theta ** (-1.0 / alpha)
+    lam = theta ** (-1.0 / alpha)
     x = theta * lam
     if abs(x - 1.0) < 1e-12:
         geo = float(T)

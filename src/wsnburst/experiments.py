@@ -332,7 +332,7 @@ def run_point(config: SimConfig, n: int, b: float, day: int) -> list[SweepRow]:
         sources = cluster_sources(config, topo, b)
         run_cfg = RunConfig(horizon_s=config.horizon_s, warmup_s=config.warmup_s,
                             trace=config.trace)
-        result = run_replication(topo, sources, run_cfg, seed, day=day)
+        result = run_replication(topo, sources, run_cfg, seed)
         if result.trace is not None:
             trace_dir = Path(config.out_dir) / "traces"
             trace_dir.mkdir(parents=True, exist_ok=True)
@@ -350,7 +350,7 @@ def _entity_rows(base: dict, topo: TopologySpec, res: ReplicationResult) -> list
     rows = []
     for cluster in topo.clusters if base["case"] != 1 else ():
         cm = res.per_cluster[cluster.cluster_id]
-        entry = res.per_node[cm.entry_node]
+        entry = res.per_node[cluster.attach]
         rows.append(SweepRow(
             **base, entity=cluster.cluster_id,
             mpd_s=cm.e2e_delay_s, e2e_delay_s=cm.e2e_delay_s,
@@ -571,10 +571,9 @@ def parse_bulk_law(text: str):
 
 def limits_table(v: float, rho: float, law_text: str) -> dict:
     law = parse_bulk_law(law_text)
-    d = bulk_factor(law)
     return {
         "v": v, "rho": rho, "law": law_text,
         "mpd_smooth_s": mpd_smooth_limit(v, rho),
-        "bulk_factor_D": d.value,
+        "bulk_factor_D": bulk_factor(law),
         "mpd_bulk_s": mpd_bulk_limit(v, rho, law),
     }

@@ -26,7 +26,7 @@ EMISSION_CONST = "const"      # packets evenly spaced 1/lambda_p within a burst
 EMISSION_POISSON = "poisson"  # packet gaps Exponential(1/lambda_p) within a burst
 
 _REL_TOL = 1e-9
-_BULK_MC_SAMPLES = 1_000_000   # Monte Carlo draws behind a discretized law's bulk factor
+_PARETO_CUTOFF = 200_000   # Pareto burst-size terms summed before the integral tail
 
 
 @dataclass(frozen=True)
@@ -197,12 +197,9 @@ class GeometricLaw:
         if self.mean < 1.0:
             raise ParameterError(f"geometric burst-size mean must be >= 1, got {self.mean}")
 
-    def mean_packets(self) -> float:
-        return self.mean
-
-    def second_moment(self) -> float:
-        p = 1.0 / self.mean
-        return (2.0 - p) / (p * p)
+    def moments(self) -> tuple[float, float]:
+        """(E[L], E[L(L+1)/2])."""
+        return self.mean, self.mean * self.mean
 
     def sample_array(self, rng: np.random.Generator, n: int) -> np.ndarray:
         if self.mean == 1.0:
@@ -218,26 +215,26 @@ class GeometricLaw:
 class DiscretizedLaw:
     """Burst size L = max(1, round(X)) for a continuous X.
 
-    The mean is evaluated deterministically from the series
-    E[L] = 1 + sum_{l>=2} R(l - 1/2) (closed tail for the exponential
-    mixtures, analytic tail integral for Pareto), and construction fails
-    if it strays more than 1% from the continuous mean.
+    Both moments are evaluated deterministically (``_discretized_moments``),
+    and construction fails if the mean strays more than 1% from the
+    continuous mean.
     """
 
     dist: DistributionSpec
-    _mean: float = field(init=False, repr=False, compare=False)
+    _moments: tuple[float, float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        m = _discretized_mean(self.dist)
+        m, second = _discretized_moments(self.dist)
         target = mean_of(self.dist)
         if target > 0 and abs(m - target) > 0.01 * target:
             raise ParameterError(
                 f"discretized burst-size mean {m:.6g} deviates more than 1% "
                 f"from the continuous mean {target:.6g}")
-        object.__setattr__(self, "_mean", m)
+        object.__setattr__(self, "_moments", (m, second))
 
-    def mean_packets(self) -> float:
-        return self._mean
+    def moments(self) -> tuple[float, float]:
+        """(E[L], E[L(L+1)/2])."""
+        return self._moments
 
     def sample_array(self, rng: np.random.Generator, n: int) -> np.ndarray:
         x = sample_array(self.dist, rng, n)
@@ -256,8 +253,10 @@ class DeterministicLaw:
         if self.packets < 1:
             raise ParameterError(f"burst size must be >= 1, got {self.packets}")
 
-    def mean_packets(self) -> float:
-        return float(self.packets)
+    def moments(self) -> tuple[float, float]:
+        """(E[L], E[L(L+1)/2])."""
+        k = float(self.packets)
+        return k, k * (k + 1.0) / 2.0
 
     def sample_array(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return np.full(n, self.packets, dtype=np.int64)
@@ -266,29 +265,36 @@ class DeterministicLaw:
 BulkSizeLaw = Union[GeometricLaw, DiscretizedLaw, DeterministicLaw]
 
 
-def _discretized_mean(dist: DistributionSpec, cutoff: int = 200_000) -> float:
-    """E[max(1, round(X))] = 1 + sum_{l>=2} R(l-1/2), with the tail beyond
-    ``cutoff`` taken in closed form."""
-    if isinstance(dist, Deterministic):
-        return float(max(1.0, np.rint(dist.value)))
-    grid = np.arange(2, cutoff + 1, dtype=float) - 0.5
-    total = 1.0 + float(np.sum(dists.reliability(dist, grid)))
-    x0 = cutoff + 0.5
+def _discretized_moments(dist: DistributionSpec) -> tuple[float, float]:
+    """(E[L], E[L(L+1)/2]) of L = max(1, round(X)).
+
+    With P(L >= l) = R(l - 1/2) for l >= 2 these are
+    1 + sum_{l>=2} R(l-1/2) and 1 + sum_{l>=2} l R(l-1/2).  An exponential
+    branch of rate r sums to e^{-3r/2}/(1-e^{-r}) and
+    e^{-3r/2}(2-e^{-r})/(1-e^{-r})^2.  Pareto is summed up to
+    ``_PARETO_CUTOFF`` with the tail taken as an integral; its second
+    moment is infinite for alpha <= 2.
+    """
+    if isinstance(dist, Pareto):
+        s, a = dist.scale, dist.alpha
+        x = np.arange(2, _PARETO_CUTOFF + 1, dtype=float) - 0.5
+        r = dists.reliability(dist, x)
+        u0 = 1.0 + (_PARETO_CUTOFF + 0.5) / s
+        mean = 1.0 + float(np.sum(r)) + s / (a - 1.0) * u0 ** (1.0 - a)
+        if a <= 2.0:
+            return mean, math.inf
+        tail = (s * s * (u0 ** (2.0 - a) / (a - 2.0) - u0 ** (1.0 - a) / (a - 1.0))
+                + 0.5 * s / (a - 1.0) * u0 ** (1.0 - a))
+        return mean, 1.0 + float(np.sum((x + 0.5) * r)) + tail
     if isinstance(dist, Exponential):
-        r = math.exp(-1.0 / dist.mean)
-        total += math.exp(-x0 / dist.mean) * r / (1.0 - r) if r > 0 else 0.0
+        w, rates = np.ones(1), np.array([1.0 / dist.mean])
     elif isinstance(dist, dists.TPT):
-        w = dist.branch_weights()
-        for j in range(dist.T):
-            rate = dist.mu / dist.lam**j
-            r = math.exp(-rate)
-            total += w[j] * math.exp(-rate * x0) * r / (1.0 - r)
-    elif isinstance(dist, Pareto):
-        # integral tail: sum_{l>cutoff} R(l-1/2) ~= int_{x0}^inf R dx
-        total += dist.scale / (dist.alpha - 1.0) * (1.0 + x0 / dist.scale) ** (1.0 - dist.alpha)
+        w, rates = dist.branch_weights(), dist.branch_rates()
     else:
         raise ParameterError(f"cannot discretize {dist!r}")
-    return total
+    head = np.exp(-1.5 * rates)    # R(3/2) of each branch
+    gap = -np.expm1(-rates)        # 1 - e^{-r}
+    return 1.0 + float(w @ (head / gap)), 1.0 + float(w @ (head * (1.0 + gap) / gap**2))
 
 
 def bulk_law_for(params: SourceParams) -> BulkSizeLaw:
@@ -301,48 +307,13 @@ def bulk_law_for(params: SourceParams) -> BulkSizeLaw:
     return DiscretizedLaw(dist=dists.rescale(params.on_dist, params.n_p))
 
 
-@dataclass(frozen=True)
-class BulkFactor:
-    """D = E[L(L+1)/2] / E[L] plus how it was obtained."""
-
-    value: float
-    stderr: float            # 0 for closed forms
-    exact: bool
-    heavy_tail_warning: bool  # second moment unstable (power tail alpha <= 2)
-
-    def __float__(self) -> float:
-        return self.value
+def bulk_factor(law: BulkSizeLaw) -> float:
+    """Bulk factor D = E[L(L+1)/2] / E[L] of a burst-size law; infinite
+    when the second moment diverges (Pareto alpha <= 2)."""
+    mean, second = law.moments()
+    return second / mean
 
 
-def bulk_factor(law: BulkSizeLaw, rng: np.random.Generator | None = None) -> BulkFactor:
-    """Bulk factor D of a burst-size law.
-
-    Geometric and deterministic laws use closed-form moments; a
-    discretized continuous law is estimated by Monte Carlo with a ratio-
-    estimator standard error, flagged when the underlying tail makes the
-    second moment unstable.
-    """
-    if isinstance(law, GeometricLaw):
-        m = law.mean_packets()
-        d = (law.second_moment() + m) / (2.0 * m)
-        return BulkFactor(value=d, stderr=0.0, exact=True, heavy_tail_warning=False)
-    if isinstance(law, DeterministicLaw):
-        return BulkFactor(value=(law.packets + 1) / 2.0, stderr=0.0, exact=True,
-                          heavy_tail_warning=False)
-    if isinstance(law, DiscretizedLaw):
-        if rng is None:
-            rng = np.random.Generator(np.random.PCG64(0x9E3779B9))
-        ell = law.sample_array(rng, _BULK_MC_SAMPLES).astype(float)
-        z = ell * (ell + 1.0) / 2.0
-        d = float(z.mean() / ell.mean())
-        resid = z - d * ell
-        stderr = float(np.sqrt(np.mean(resid * resid) / ell.size) / ell.mean())
-        warn = isinstance(law.dist, Pareto) and law.dist.alpha <= 2.0
-        return BulkFactor(value=d, stderr=stderr, exact=False, heavy_tail_warning=warn)
-    raise ParameterError(f"unknown bulk-size law: {law!r}")
-
-
-def mpd_bulk_limit(v: float, rho: float, law: BulkSizeLaw,
-                   rng: np.random.Generator | None = None) -> float:
+def mpd_bulk_limit(v: float, rho: float, law: BulkSizeLaw) -> float:
     """Mean packet delay of the b=1 (bulk arrival) limit: D * (1/v)/(1-rho)."""
-    return bulk_factor(law, rng=rng).value * mpd_smooth_limit(v, rho)
+    return bulk_factor(law) * mpd_smooth_limit(v, rho)

@@ -89,15 +89,10 @@ class ClusterMetrics:
     e2e_delay_s: float
     throughput_pps: float      # measured at the cluster's entry queue
     packets: int               # completed post-warm-up packets
-    entry_node: str
 
 
 @dataclass
 class ReplicationResult:
-    day: int
-    seed: int
-    horizon_s: float
-    warmup_s: float
     saturated: bool
     per_node: dict[str, NodeMetrics]
     per_cluster: dict[str, ClusterMetrics]
@@ -132,7 +127,6 @@ def source_emit(params: SourceParams, law: BulkSizeLaw, rng: np.random.Generator
         sizes = law.sample_array(rng, want)
         np.minimum(sizes, cap, out=sizes)
         offs = sample_array(params.off_dist, rng, want)
-        first = _exclusive_cumsum_int(sizes)   # index of each burst's first packet
         # per-packet increments; a burst's first packet also absorbs the OFF
         # period that precedes it (a burst occupies one slot/gap per packet,
         # so the long-run rate is exactly K)
@@ -140,7 +134,7 @@ def source_emit(params: SourceParams, law: BulkSizeLaw, rng: np.random.Generator
             inc = rng.exponential(1.0 / lam_p, int(sizes.sum()))
         else:
             inc = np.full(int(sizes.sum()), 1.0 / lam_p)
-        inc[first[1:]] += offs[:-1]
+        inc[np.cumsum(sizes[:-1])] += offs[:-1]   # each later burst's first packet
         if not poisson:
             inc[0] = 0.0      # constant-rate bursts begin with a packet
         emissions = np.cumsum(inc)
@@ -247,7 +241,7 @@ def simulate(topo: TopologySpec, sources: Mapping[str, SourceParams],
 
 
 def run_replication(topo: TopologySpec, sources: Mapping[str, SourceParams],
-                    config: RunConfig, seed: int, day: int = 0) -> ReplicationResult:
+                    config: RunConfig, seed: int) -> ReplicationResult:
     """Execute one replication (``simulate``) and collect per-node /
     per-cluster metrics; the trajectories are dropped on return.
 
@@ -264,7 +258,6 @@ def run_replication(topo: TopologySpec, sources: Mapping[str, SourceParams],
     per_cluster, overall_e2e, overall_n = _cluster_metrics(
         clusters, states[topo.sink_id], metrics, warmup, horizon)
     return ReplicationResult(
-        day=day, seed=seed, horizon_s=horizon, warmup_s=warmup,
         saturated=saturated, per_node=metrics, per_cluster=per_cluster,
         overall_e2e_s=overall_e2e, overall_packets=overall_n,
         trace=_trace_columns(clusters, states) if config.trace else None)
@@ -311,15 +304,8 @@ def _cluster_metrics(clusters, sink, node_metrics, warmup, horizon):
         per_cluster[cluster.cluster_id] = ClusterMetrics(
             e2e_delay_s=float(sums[ci] / n) if n else 0.0,
             throughput_pps=node_metrics[cluster.attach].cluster_throughput_pps[ci],
-            packets=n, entry_node=cluster.attach)
+            packets=n)
     return per_cluster, overall_e2e, overall_n
-
-
-def _exclusive_cumsum_int(x: np.ndarray) -> np.ndarray:
-    out = np.empty(x.size, dtype=np.int64)
-    out[0] = 0
-    np.cumsum(x[:-1], out=out[1:])
-    return out
 
 
 def _merge_inputs(inputs: list[dict]) -> dict:

@@ -36,20 +36,20 @@ def _report(num: int, ok: bool, detail: str) -> bool:
     return ok
 
 
-def _star_day(n, b, on_kind, off_kind, day, seed, *, lam=50.0, v=100.0, n_p=50.0,
+def _star_day(n, b, on_kind, off_kind, seed, *, lam=50.0, v=100.0, n_p=50.0,
               B=1000, mode=EMISSION_CONST):
     topo = wb.build_star(n, lam, v, threshold=B)
     src = derive_source_params(lam, n, n_p, b, on_kind, off_kind, emission_mode=mode)
-    return run_replication(topo, {"cluster_1": src}, DAY_CFG, seed, day=day)
+    return run_replication(topo, {"cluster_1": src}, DAY_CFG, seed)
 
 
-def _case_day(case, b, day, seed, on_kind=EXP):
+def _case_day(case, b, seed, on_kind=EXP):
     topo = (wb.build_case2(1, 50.0, 0.5, threshold=1000) if case == 2
             else wb.build_case3(1, 50.0, 0.5, threshold=1000))
     sources = {c.cluster_id: derive_source_params(c.arrival_rate, c.n_sources,
                                                   50.0, b, on_kind, EXP)
                for c in topo.clusters}
-    return run_replication(topo, sources, DAY_CFG, seed, day=day)
+    return run_replication(topo, sources, DAY_CFG, seed)
 
 
 def tail_slope(samples, lo_q=0.90, hi_q=0.999, points=60):
@@ -87,7 +87,7 @@ def test_criterion_02_mm1_oracle():
     t0 = time.perf_counter()
     mpds, ovfs, arrivals = [], [], 0
     for day in range(10):
-        res = _star_day(1, 0.0, EXP, EXP, day, derive_seed(MASTER, 2, day),
+        res = _star_day(1, 0.0, EXP, EXP, derive_seed(MASTER, 2, day),
                         B=10, mode=EMISSION_POISSON)
         sink = res.per_node["sink"]
         mpds.append(sink.mpd_s)
@@ -116,7 +116,7 @@ def test_criterion_03_near_smooth_limit():
     target = mpd_smooth_limit(100.0, 0.5)
     means = {}
     for mode in (EMISSION_POISSON, EMISSION_CONST):
-        vals = [_star_day(1, 0.05, EXP, EXP, day, derive_seed(MASTER, 3, day),
+        vals = [_star_day(1, 0.05, EXP, EXP, derive_seed(MASTER, 3, day),
                           mode=mode).per_node["sink"].mpd_s for day in range(10)]
         means[mode] = float(np.mean(vals))
     ok = abs(means[EMISSION_POISSON] - target) / target <= 0.15
@@ -129,7 +129,7 @@ def test_criterion_03_near_smooth_limit():
 def test_criterion_04_bulk_approach():
     means = []
     for b in B_GRID:
-        vals = [_star_day(1, b, EXP, EXP, day,
+        vals = [_star_day(1, b, EXP, EXP,
                           derive_seed(MASTER, 4, int(b * 1e6), day),
                           lam=10.0, v=20.0, n_p=20.0).per_node["sink"].mpd_s
                 for day in range(10)]
@@ -153,7 +153,7 @@ def test_criterion_05_blowup_jump():
         for b in (0.4, 0.6):
             mpds = []
             for day in range(10):
-                res = _star_day(1, b, TPT30, EXP, day,
+                res = _star_day(1, b, TPT30, EXP,
                                 derive_seed(master, 5, int(b * 1e6), day))
                 mpds.append(res.per_node["sink"].mpd_s)
                 (ovf_low if b == 0.4 else ovf_high).append(
@@ -176,7 +176,7 @@ def test_criterion_05_blowup_jump():
 def test_criterion_06_two_node_damping():
     medians = {}
     for n in (1, 2):
-        vals = [_star_day(n, 0.55, TPT30, EXP, day,
+        vals = [_star_day(n, 0.55, TPT30, EXP,
                           derive_seed(MASTER, 6, n, day)).per_node["sink"].mpd_s
                 for day in range(10)]
         medians[n] = float(np.median(vals))
@@ -194,7 +194,7 @@ CASE_DAYS = 3  # replications per sweep point for the cluster-tree sweeps
 def case2_sweep():
     out = {}
     for b in B_GRID_HIGH:
-        out[b] = [_case_day(2, b, day, derive_seed(MASTER, 7, int(b * 1e6), day))
+        out[b] = [_case_day(2, b, derive_seed(MASTER, 7, int(b * 1e6), day))
                   for day in range(CASE_DAYS)]
     return out
 
@@ -203,7 +203,7 @@ def case2_sweep():
 def case3_sweep():
     out = {}
     for b in B_GRID_HIGH:
-        out[b] = [_case_day(3, b, day, derive_seed(MASTER, 8, int(b * 1e6), day))
+        out[b] = [_case_day(3, b, derive_seed(MASTER, 8, int(b * 1e6), day))
                   for day in range(CASE_DAYS)]
     return out
 
@@ -297,7 +297,7 @@ def test_criterion_11_fluctuation_ordering():
     for master in range(1, 11):
         cvs = {}
         for variant, (on_kind, off_kind) in variants.items():
-            mpds = [_star_day(1, 0.7, on_kind, off_kind, day,
+            mpds = [_star_day(1, 0.7, on_kind, off_kind,
                               derive_seed(master, variant, b_key, day))
                     .per_node["sink"].mpd_s for day in range(10)]
             arr = np.asarray(mpds)

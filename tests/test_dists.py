@@ -165,12 +165,6 @@ def test_tpt_calibrate_mean_error_below_1e12(T):
     assert abs(mean_of(spec) - 1.0) < 1e-12
 
 
-def test_tpt_calibrate_lam_override():
-    spec = tpt_calibrate(theta=0.5, alpha=1.4, target_mean=2.0, T=4, lam=1.9)
-    assert spec.lam == 1.9
-    assert mean_of(spec) == pytest.approx(2.0, rel=1e-12)
-
-
 @given(
     kind=st.sampled_from(["exp", "pareto", "tpt"]),
     mean=st.floats(0.01, 1e4),

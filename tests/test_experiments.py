@@ -326,9 +326,11 @@ def test_cli_limits_prints_values(capsys):
 
 
 def test_cli_validate_ok(tmp_path, capsys):
-    path = write_config(tmp_path, FAST)
-    assert cli_main(["validate", "--config", str(path)]) == 0
-    assert "config ok" in capsys.readouterr().out
+    # tpt:100 at a 50-packet mean burst discretizes within 1% of the mean
+    for payload in (FAST, {**FAST, "on_kind": "tpt:100", "n_p": 50}):
+        path = write_config(tmp_path, payload)
+        assert cli_main(["validate", "--config", str(path)]) == 0
+        assert "config ok" in capsys.readouterr().out
 
 
 def test_cli_validate_bad_config_exit_2(tmp_path, capsys):

@@ -4,8 +4,10 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scipy.special import zeta
 
-from wsnburst.dists import Deterministic, Exponential, ParameterError, Pareto, mean_of
+from wsnburst.dists import (Deterministic, Exponential, ParameterError, Pareto, mean_of,
+                            reliability, tpt_calibrate)
 from wsnburst.model import (DeterministicLaw, DiscretizedLaw, DistKind, GeometricLaw,
                             SinkParams, SourceParams, blowup_points, bulk_factor,
                             bulk_law_for, burstiness, derive_source_params,
@@ -93,29 +95,60 @@ def test_bulk_factor_geometric_matches_brute_force():
     for m in (20.0, 50.0, 3.0):
         closed = bulk_factor(GeometricLaw(mean=m))
         oracle = brute_force_geometric_bulk_factor(m)
-        assert closed.exact and closed.stderr == 0.0
-        assert closed.value == pytest.approx(oracle, rel=1e-9)
-        assert closed.value == pytest.approx(m, rel=1e-9)
+        assert type(closed) is float
+        assert closed == pytest.approx(oracle, rel=1e-9)
+        assert closed == pytest.approx(m, rel=1e-9)
 
 
 def test_bulk_factor_deterministic():
-    assert bulk_factor(DeterministicLaw(1)).value == 1.0
-    assert bulk_factor(DeterministicLaw(5)).value == 3.0
+    assert bulk_factor(DeterministicLaw(1)) == 1.0
+    assert bulk_factor(DeterministicLaw(5)) == 3.0
 
 
-def test_bulk_factor_monte_carlo_with_heavy_tail_warning(rng):
-    est = bulk_factor(DiscretizedLaw(Pareto(alpha=1.4, mean=20.0)), rng=rng)
-    assert not est.exact
-    assert est.stderr > 0.0
-    assert est.heavy_tail_warning  # alpha <= 2: unstable second moment
-    assert est.value > 1.0
+def test_bulk_factor_infinite_for_heavy_tail():
+    # alpha <= 2: E[L] is finite but the second moment, and so D, diverges
+    law = DiscretizedLaw(Pareto(alpha=1.4, mean=20.0))
+    assert 1.0 < law.moments()[0] < math.inf
+    assert bulk_factor(law) == math.inf
+    assert mpd_bulk_limit(100.0, 0.5, law) == math.inf
 
 
 def test_bulk_factor_monte_carlo_light_tail_accuracy(rng):
-    # discretized exponential ~ geometric: D should land near the mean
-    est = bulk_factor(DiscretizedLaw(Exponential(mean=20.0)), rng=rng)
-    assert not est.heavy_tail_warning
-    assert est.value == pytest.approx(20.0, rel=0.05)
+    # discretized exponential ~ geometric: D should land near the mean, and
+    # the ratio estimate over the law's own draws must agree with the series
+    law = DiscretizedLaw(Exponential(mean=20.0))
+    d = bulk_factor(law)
+    assert d == pytest.approx(20.0, rel=0.05)
+    ell = law.sample_array(rng, 400_000).astype(float)
+    z = ell * (ell + 1.0) / 2.0
+    est = z.mean() / ell.mean()
+    resid = z - est * ell
+    stderr = np.sqrt(np.mean(resid * resid) / ell.size) / ell.mean()
+    assert abs(est - d) < 4.0 * stderr
+
+
+def _series_moments(dist, terms=400_000):
+    """Term-by-term 1 + sum_{l>=2} R(l-1/2) and 1 + sum_{l>=2} l R(l-1/2)."""
+    x = np.arange(2, terms + 1) - 0.5
+    r = reliability(dist, x)
+    return 1.0 + math.fsum(r), 1.0 + math.fsum((x + 0.5) * r)
+
+
+def test_discretized_moments_match_series_and_zeta():
+    for dist in (Exponential(mean=20.0), tpt_calibrate(0.5, 1.4, 50.0, 3),
+                 tpt_calibrate(0.5, 1.4, 50.0, 10)):
+        mean, second = DiscretizedLaw(dist).moments()
+        oracle_mean, oracle_second = _series_moments(dist)
+        assert mean == pytest.approx(oracle_mean, rel=1e-12)
+        assert second == pytest.approx(oracle_second, rel=1e-12)
+    # Pareto: sum_{l>=2} (1 + (l-1/2)/s)^-alpha = s^alpha zeta(alpha, s+3/2)
+    for alpha in (2.5, 3.0, 4.0):
+        dist = Pareto(alpha=alpha, mean=20.0)
+        s = dist.scale
+        mean, second = DiscretizedLaw(dist).moments()
+        z1, z0 = zeta(alpha - 1.0, s + 1.5), zeta(alpha, s + 1.5)
+        assert mean == pytest.approx(1.0 + s**alpha * z0, rel=1e-10)
+        assert second == pytest.approx(1.0 + s**alpha * (z1 - (s - 0.5) * z0), rel=1e-6)
 
 
 @pytest.mark.parametrize("v, rho, law, expected", [
@@ -216,16 +249,16 @@ def test_geometric_law_sampling(rng):
     ells = law.sample_array(rng, 200_000)
     assert ells.min() >= 1
     assert ells.mean() == pytest.approx(20.0, rel=0.02)
-    assert law.mean_packets() == 20.0
+    assert law.moments()[0] == 20.0
 
 
 def test_discretized_law_mean_within_one_percent():
-    for kind in ("pareto", "tpt:30"):
+    for kind in ("pareto", "tpt:30", "tpt:100"):
         params = derive_source_params(50.0, 1, 50.0, 0.5, DistKind.parse(kind),
                                       DistKind.parse("exp"))
         law = bulk_law_for(params)
         assert isinstance(law, DiscretizedLaw)
-        assert law.mean_packets() == pytest.approx(50.0, rel=0.01)
+        assert law.moments()[0] == pytest.approx(50.0, rel=0.01)
 
 
 def test_discretized_law_rejects_distorting_small_mean():
@@ -239,7 +272,7 @@ def test_discretized_law_mean_against_monte_carlo(rng):
     law = DiscretizedLaw(Pareto(alpha=2.5, mean=12.0))  # light enough tail to converge
     ells = law.sample_array(rng, 400_000)
     se = ells.std(ddof=1) / math.sqrt(ells.size)
-    assert abs(ells.mean() - law.mean_packets()) < 4.0 * se + 0.01
+    assert abs(ells.mean() - law.moments()[0]) < 4.0 * se + 0.01
     assert ells.min() >= 1
 
 
@@ -251,5 +284,5 @@ def test_bulk_law_for_maps_on_shape():
                                    DistKind.parse("exp"))
     law = bulk_law_for(par_src)
     assert isinstance(law, DiscretizedLaw)
-    assert law.mean_packets() == pytest.approx(50.0, rel=0.01)
+    assert law.moments()[0] == pytest.approx(50.0, rel=0.01)
     assert isinstance(law.dist, Pareto)
