@@ -14,7 +14,8 @@ each FIFO server's departures with the recursion
 reproduces the exact event-by-event sample path at a fraction of the
 cost of a serial event loop.  Statistics are collected from packets
 created after the warm-up period; buffers are infinite and overflow is
-counted virtually (arrivals that find at least B packets in system).
+counted virtually: ``overflow_prob`` is the fraction of post-warm-up-created
+arrivals that find at least B packets in system, ``depart[i-B] > arrive[i]``.
 """
 from __future__ import annotations
 
@@ -80,7 +81,6 @@ class NodeMetrics:
     mean_queue_len: float
     packets: int               # post-warm-up arrivals
     arrivals_total: int
-    in_system_at_horizon: int
     cluster_throughput_pps: dict[int, float]
 
 
@@ -147,7 +147,9 @@ def source_emit(params: SourceParams, law: BulkSizeLaw, rng: np.random.Generator
 
 def fifo_departures(arrive: np.ndarray, service: np.ndarray) -> np.ndarray:
     """Departure times of a FIFO single server fed the sorted ``arrive``
-    stream with per-packet service times ``service``."""
+    stream with per-packet service times ``service``.  Non-decreasing for
+    any non-negative service (ties and zeros included), being the rounded sum
+    of two non-decreasing arrays; the overflow count and handoff rely on it."""
     total = np.cumsum(service)
     slack = arrive - total + service          # a[i] - S[i-1]
     np.maximum.accumulate(slack, out=slack)   # max over j<=i of (a[j] - S[j-1])
@@ -160,16 +162,17 @@ def packets_seen(arrive: np.ndarray, depart: np.ndarray) -> np.ndarray:
         depart, arrive, side="right")
 
 
-def estimate_overflow(state: NodeState, warmup: float) -> tuple[float, bool]:
-    """Fraction of post-warm-up arrivals finding >= threshold packets in the
-    node.  Buffers are infinite; nothing is dropped.  With no measurable
-    arrivals the probability is reported as 0 with a defined=False flag."""
-    mask = state.created > warmup
-    n = int(mask.sum())
+def estimate_overflow(state: NodeState, mask: np.ndarray) -> tuple[float, bool]:
+    """Fraction of the arrivals selected by ``mask`` that find >= threshold
+    packets in the node: departures are sorted, so arrival i does iff
+    ``depart[i-B] > arrive[i]``.  Buffers are infinite; nothing is dropped.
+    With no selected arrivals the probability is 0 with defined=False."""
+    n = int(np.count_nonzero(mask))
     if n == 0:
         return 0.0, False
-    seen = packets_seen(state.arrive, state.depart)
-    hits = int(np.count_nonzero(seen[mask] >= state.threshold))
+    B = state.threshold
+    k = max(state.arrive.size - B, 0)     # arrivals with at least B predecessors
+    hits = np.count_nonzero((state.depart[:k] > state.arrive[B:]) & mask[B:])
     return hits / n, True
 
 
@@ -223,9 +226,9 @@ def simulate(topo: TopologySpec, sources: Mapping[str, SourceParams],
         inputs: list[dict] = []
         for child_id in topo.children_of(node.node_id):
             st = states[child_id]
-            mask = st.depart <= horizon    # later departures never reach the parent
-            inputs.append({"times": st.depart[mask],
-                           **{key: getattr(st, key)[mask] for key in carried}})
+            k = np.searchsorted(st.depart, horizon, "right")  # later ones never reach the parent
+            inputs.append({"times": st.depart[:k],
+                           **{key: getattr(st, key)[:k] for key in carried}})
         inputs.extend(emissions[c.cluster_id] for c in topo.clusters_at(node.node_id))
 
         merged = _merge_inputs(inputs)
@@ -275,18 +278,15 @@ def _node_metrics(state: NodeState, warmup: float, horizon: float,
         mpd = float(np.mean(state.depart[measured] - state.arrive[measured]))
     else:
         mpd = 0.0
-    overflow, defined = estimate_overflow(state, warmup)
+    overflow, defined = estimate_overflow(state, created_mask)
     queue_len = time_average_in_system(state.arrive, state.depart, warmup, horizon)
 
     per_cluster_counts = np.bincount(state.cluster[in_window], minlength=n_clusters)
     cluster_thr = {ci: float(c / window) for ci, c in enumerate(per_cluster_counts)}
-    arrivals = int(state.arrive.size)
-    departed = int(np.searchsorted(state.depart, horizon, side="right"))
     return NodeMetrics(
         mpd_s=mpd, throughput_pps=throughput, overflow_prob=overflow,
         overflow_defined=defined, mean_queue_len=queue_len,
-        packets=int(created_mask.sum()), arrivals_total=arrivals,
-        in_system_at_horizon=arrivals - departed,
+        packets=int(created_mask.sum()), arrivals_total=int(state.arrive.size),
         cluster_throughput_pps=cluster_thr)
 
 

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import wsnburst as wb
 from wsnburst.dists import Deterministic
@@ -45,6 +46,26 @@ def test_fifo_departures_preserve_order(rng):
     depart = fifo_departures(arrivals, rng.exponential(0.01, 2000))
     assert np.all(np.diff(depart) > 0)
     assert np.all(depart > arrivals)
+
+
+def _tied_arrivals(rng, n, scale):
+    """n sorted arrival times over [0, scale) in runs of 1-4 equal times."""
+    times = np.sort(rng.uniform(0.0, scale, n))
+    return np.repeat(times, rng.integers(1, 5, n))[:n]
+
+
+@given(n=st.integers(1, 400), seed=st.integers(0, 2**32 - 1),
+       scale=st.sampled_from([1.0, 1e5]),
+       mean_service=st.sampled_from([0.0, 5e-324, 1e-15, 1e-9, 1e-3]),
+       zero_frac=st.floats(0.0, 1.0))
+def test_fifo_departures_non_decreasing(n, seed, scale, mean_service, zero_frac):
+    # the overflow count and the child-to-parent handoff rely on this order;
+    # tiny services vanish in rounding against 1e5 s arrival times
+    rng = np.random.default_rng(seed)
+    arrive = _tied_arrivals(rng, n, scale)
+    service = rng.exponential(mean_service, n)
+    service[rng.random(n) < zero_frac] = 0.0
+    assert np.all(np.diff(fifo_departures(arrive, service)) >= 0)
 
 
 # ------------------------------------------------------------- source_emit
@@ -226,7 +247,7 @@ def test_overflow_busy_period_threshold_one():
     depart = fifo_departures(arrive, np.array([1.0, 1.0, 1.0]))
     state = NodeState("n", 1, arrive, depart, created=arrive,
                       cluster=np.zeros(3, dtype=np.int16))
-    prob, defined = estimate_overflow(state, warmup=-1.0)
+    prob, defined = estimate_overflow(state, state.created > -1.0)
     assert defined and prob == pytest.approx(2.0 / 3.0)
 
 
@@ -236,6 +257,52 @@ def test_overflow_unreachable_threshold_is_zero():
     res = run_replication(topo, {"cluster_1": src},
                           RunConfig(horizon_s=3600.0, warmup_s=100.0), seed=21)
     assert res.per_node["sink"].overflow_prob == 0.0
+
+
+@given(n=st.integers(1, 300), seed=st.integers(0, 2**32 - 1),
+       load=st.sampled_from([0.2, 0.9, 3.0]), on_grid=st.booleans(),
+       warm_frac=st.floats(0.0, 1.0), data=st.data())
+def test_overflow_shifted_compare_is_exact(n, seed, load, on_grid, warm_frac, data):
+    # tied arrivals, exponential services, a random warm-up mask, B in 1..n+3;
+    # on a grid of 1/4 s the sums are exact, so departures land on arrival
+    # times (a packet leaving as another arrives is not seen) and some
+    # services are 0
+    rng = np.random.default_rng(seed)
+    arrive = _tied_arrivals(rng, n, 10.0)
+    service = rng.exponential(load * 10.0 / n, n)
+    if on_grid:
+        arrive, service = np.floor(arrive * 4.0) / 4.0, np.floor(service * 4.0) / 4.0
+    mask = rng.random(n) < warm_frac
+    B = data.draw(st.integers(1, n + 3), label="B")
+    depart = fifo_departures(arrive, service)
+    _, oracle_seen = fifo_event_loop(arrive.tolist(), service.tolist())
+    state = NodeState("n", B, arrive, depart, created=arrive,
+                      cluster=np.zeros(n, dtype=np.int16))
+    prob, defined = estimate_overflow(state, mask)
+    measured = int(mask.sum())
+    assert defined == (measured > 0)
+    for seen in (np.asarray(oracle_seen), packets_seen(arrive, depart)):
+        hits = int(np.count_nonzero(seen[mask] >= B))
+        assert prob == (hits / measured if measured else 0.0)
+
+
+@pytest.mark.parametrize("case", ["star", "case3"])
+def test_overflow_equals_packets_seen_count_on_replications(case):
+    # star N=2 b=0 const: every sink arrival time occurs twice
+    if case == "star":
+        topo, src = _star(n=2), bursty_params(n=2, b=0.0)
+    else:
+        topo, src = wb.build_case3(1, 50.0), bursty_params(b=0.9)
+    states = simulate(topo, {c.cluster_id: src for c in topo.clusters},
+                      RunConfig(horizon_s=600.0, warmup_s=60.0), seed=5)
+    for node in states.values():
+        n, mask = node.arrive.size, node.created > 60.0
+        seen = packets_seen(node.arrive, node.depart)
+        for B in (1, 2, 10, 1000, n - 1, n, n + 3):
+            state = NodeState(node.node_id, B, node.arrive, node.depart,
+                              node.created, node.cluster)
+            prob, _ = estimate_overflow(state, mask)
+            assert prob == np.count_nonzero(seen[mask] >= B) / mask.sum()
 
 
 def test_overflow_mm1_geometric_tail():
