@@ -7,22 +7,23 @@ FIFO single server with exponential service, re-drawn independently at
 each hop.  Within one replication the whole trajectory is a
 deterministic function of the seed.
 
-The engine evaluates nodes in child-before-parent order and computes
-each FIFO server's departures with the recursion
-``d[i] = max(a[i], d[i-1]) + s[i]`` in closed vectorized form
-(``d = S + running-max(a - S_shifted)`` with ``S = cumsum(s)``), which
-reproduces the exact event-by-event sample path at a fraction of the
-cost of a serial event loop.  Statistics are collected from packets
-created after the warm-up period; buffers are infinite and overflow is
-counted virtually: ``overflow_prob`` is the fraction of post-warm-up-created
-arrivals that find at least B packets in system, ``depart[i-B] > arrive[i]``.
+The engine streams the nodes child-before-parent, freeing a child's arrays
+once its parent has merged them, and computes each FIFO server's
+departures with the recursion ``d[i] = max(a[i], d[i-1]) + s[i]`` in
+closed vectorized form (``d = S + running-max(a - S_shifted)`` with
+``S = cumsum(s)``, in cache-sized blocks), which reproduces the exact
+event-by-event sample path at a fraction of the cost of a serial event
+loop.  Statistics are collected from packets created after the warm-up
+period; buffers are infinite and overflow is counted virtually:
+``overflow_prob`` is the fraction of post-warm-up-created arrivals that
+find at least B packets in system, ``depart[i-B] > arrive[i]``.
 """
 from __future__ import annotations
 
 import csv
 import math
 from dataclasses import dataclass
-from typing import Mapping, Optional
+from typing import Iterator, Mapping, Optional
 
 import numpy as np
 
@@ -35,6 +36,7 @@ _SRC_TAG = fnv1a64("source")
 _SVC_TAG = fnv1a64("service")
 _SIZE_TAG = fnv1a64("size")
 
+_BLOCK = 1 << 14   # fifo_departures block: its two float64 temporaries stay in cache
 MEAN_PACKET_BYTES = 100.0  # recorded on traces only; service is drawn per hop
 
 TRACE_COLUMNS = ("packet_id", "source_id", "cluster_id", "created_at",
@@ -149,11 +151,24 @@ def fifo_departures(arrive: np.ndarray, service: np.ndarray) -> np.ndarray:
     """Departure times of a FIFO single server fed the sorted ``arrive``
     stream with per-packet service times ``service``.  Non-decreasing for
     any non-negative service (ties and zeros included), being the rounded sum
-    of two non-decreasing arrays; the overflow count and handoff rely on it."""
-    total = np.cumsum(service)
-    slack = arrive - total + service          # a[i] - S[i-1]
-    np.maximum.accumulate(slack, out=slack)   # max over j<=i of (a[j] - S[j-1])
-    return slack + total
+    of two non-decreasing arrays; the overflow count and handoff rely on it.
+    Blocks carry the running sum (seeded before each sequential cumsum) and
+    the running max (exact), so the bits equal the one-shot closed form's."""
+    n = arrive.size
+    depart, total, slack = np.empty(n), np.empty(min(n, _BLOCK)), np.empty(min(n, _BLOCK))
+    total_prev, run = 0.0, -math.inf
+    for lo in range(0, n, _BLOCK):
+        tot, sl, svc = total[:n - lo], slack[:n - lo], service[lo:lo + _BLOCK]
+        np.copyto(tot, svc)
+        tot[0] += total_prev
+        np.cumsum(tot, out=tot)                       # S[i]
+        np.subtract(arrive[lo:lo + _BLOCK], tot, out=sl)
+        sl += svc                                     # a[i] - S[i-1]
+        sl[0] = max(sl[0], run)
+        np.maximum.accumulate(sl, out=sl)             # max over j<=i of (a[j] - S[j-1])
+        np.add(sl, tot, out=depart[lo:lo + _BLOCK])
+        total_prev, run = tot[-1], sl[-1]
+    return depart
 
 
 def packets_seen(arrive: np.ndarray, depart: np.ndarray) -> np.ndarray:
@@ -178,31 +193,35 @@ def estimate_overflow(state: NodeState, mask: np.ndarray) -> tuple[float, bool]:
 
 def time_average_in_system(arrive: np.ndarray, depart: np.ndarray,
                            lo: float, hi: float) -> float:
-    """Time-averaged number in system over the window (lo, hi]."""
+    """Time-averaged number in system over the window (lo, hi]: the clipped
+    ``min(depart, hi) - max(arrive, lo)``, built in one array from the
+    prefixes and suffixes the sorted inputs split into."""
     if arrive.size == 0 or hi <= lo:
         return 0.0
-    overlap = np.minimum(depart, hi) - np.maximum(arrive, lo)
+    done, first = np.searchsorted(depart, hi, "right"), np.searchsorted(arrive, lo, "right")
+    overlap = np.empty(arrive.size)
+    overlap[:done], overlap[done:] = depart[:done], hi
+    overlap[:first] -= lo
+    overlap[first:] -= arrive[first:]
     np.clip(overlap, 0.0, None, out=overlap)
     return float(overlap.sum() / (hi - lo))
 
 
 def simulate(topo: TopologySpec, sources: Mapping[str, SourceParams],
-             config: RunConfig, seed: int) -> dict[str, NodeState]:
-    """Per-node trajectories of one replication, in child-before-parent order.
-
-    ``sources`` maps cluster_id to the per-source parameters of that
-    cluster (all sources of a cluster are identical).  Identical
-    (topology, sources, config, seed) give bitwise-identical trajectories.
-    """
+             config: RunConfig, seed: int) -> Iterator[tuple[str, NodeState]]:
+    """Yield ``(node_id, state)`` per queue node of one replication,
+    child-before-parent, keeping no yielded state.  ``sources`` maps
+    cluster_id to the per-source parameters of that cluster (all sources of
+    a cluster are identical).  Identical (topology, sources, config, seed)
+    give bitwise-identical trajectories."""
     issues = validate_topology(topo)
     if issues:
         raise ParameterError("invalid topology: " + "; ".join(issues))
     horizon = config.horizon_s
     carried = ("created", "cluster") + (_TRACE_PAYLOAD if config.trace else ())
 
-    # per-cluster merged emission streams
-    emissions: dict[str, dict] = {}
-    for ci, cluster in enumerate(topo.clusters):
+    def emitted(ci: int, cluster) -> dict:
+        # each source has its own substream, so emitting on demand keeps the bytes
         params = sources[cluster.cluster_id] if cluster.n_sources else None
         law = bulk_law_for(params) if params is not None else None
         streams = []
@@ -219,43 +238,43 @@ def simulate(topo: TopologySpec, sources: Mapping[str, SourceParams],
         merged = _merge_inputs(streams)
         merged["created"] = merged["times"]
         merged["cluster"] = np.full(merged["times"].size, ci, dtype=np.int16)
-        emissions[cluster.cluster_id] = merged
+        return merged
 
-    states: dict[str, NodeState] = {}
+    pending: dict[str, dict] = {}   # child id -> the part of its output that reaches its parent
     for node in topo.queue_nodes():
-        inputs: list[dict] = []
-        for child_id in topo.children_of(node.node_id):
-            st = states[child_id]
-            k = np.searchsorted(st.depart, horizon, "right")  # later ones never reach the parent
-            inputs.append({"times": st.depart[:k],
-                           **{key: getattr(st, key)[:k] for key in carried}})
-        inputs.extend(emissions[c.cluster_id] for c in topo.clusters_at(node.node_id))
-
-        merged = _merge_inputs(inputs)
+        merged = _merge_inputs(
+            [pending.pop(child_id) for child_id in topo.children_of(node.node_id)]
+            + [emitted(ci, c) for ci, c in enumerate(topo.clusters) if c.attach == node.node_id])
         arrive = merged.pop("times")
         svc_rng = substream(derive_seed(seed, _SVC_TAG, fnv1a64(node.node_id)))
-        service = svc_rng.exponential(1.0 / node.service_rate, arrive.size)
-        depart = fifo_departures(arrive, service)
-        del service
-        states[node.node_id] = NodeState(
-            node_id=node.node_id, threshold=node.threshold, arrive=arrive,
-            depart=depart, **merged)
-    return states
+        depart = fifo_departures(arrive, svc_rng.exponential(1.0 / node.service_rate, arrive.size))
+        if node.node_id != topo.sink_id:
+            k = np.searchsorted(depart, horizon, "right")  # later ones never reach the parent
+            pending[node.node_id] = {"times": depart[:k],
+                                     **{key: merged[key][:k] for key in carried}}
+        yield node.node_id, NodeState(node_id=node.node_id, threshold=node.threshold,
+                                      arrive=arrive, depart=depart, **merged)
+        del arrive, depart, merged   # else they would pin this child while its parent merges
 
 
 def run_replication(topo: TopologySpec, sources: Mapping[str, SourceParams],
                     config: RunConfig, seed: int) -> ReplicationResult:
-    """Execute one replication (``simulate``) and collect per-node /
-    per-cluster metrics; the trajectories are dropped on return.
+    """Execute one replication (``simulate``), taking each node's metrics as
+    its state streams by; only the sink's state is kept (every node's in
+    trace mode).
 
     Offered load >= service rate anywhere is allowed but flagged
     ``saturated``.
     """
-    states = simulate(topo, sources, config, seed)
     horizon, warmup = config.horizon_s, config.warmup_s
     clusters = list(topo.clusters)
-    metrics = {node_id: _node_metrics(st, warmup, horizon, len(clusters))
-               for node_id, st in states.items()}
+    metrics: dict[str, NodeMetrics] = {}
+    states: dict[str, NodeState] = {}
+    for node_id, st in simulate(topo, sources, config, seed):
+        metrics[node_id] = _node_metrics(st, warmup, horizon, len(clusters))
+        if config.trace or node_id == topo.sink_id:
+            states[node_id] = st
+        del st   # else it would pin this child while its parent merges
     saturated = any(topo.offered_load(node.node_id) >= node.service_rate * (1.0 - 1e-12)
                     for node in topo.queue_nodes())
     per_cluster, overall_e2e, overall_n = _cluster_metrics(
@@ -268,32 +287,34 @@ def run_replication(topo: TopologySpec, sources: Mapping[str, SourceParams],
 
 def _node_metrics(state: NodeState, warmup: float, horizon: float,
                   n_clusters: int) -> NodeMetrics:
-    created_mask = state.created > warmup
-    window = horizon - warmup
-    in_window = state.arrive > warmup   # arrivals never exceed the horizon
-    throughput = float(np.count_nonzero(in_window) / window)
+    n, window = state.arrive.size, horizon - warmup
+    first = np.searchsorted(state.arrive, warmup, "right")   # arrivals never exceed the horizon
+    done = np.searchsorted(state.depart, horizon, "right")
+    throughput = float((n - first) / window)
 
-    measured = created_mask & (state.depart <= horizon)
-    if measured.any():
-        mpd = float(np.mean(state.depart[measured] - state.arrive[measured]))
-    else:
-        mpd = 0.0
+    created_mask = state.created > warmup
+    sojourn = state.depart[:done][created_mask[:done]]
+    sojourn -= state.arrive[:done][created_mask[:done]]
+    mpd = float(np.mean(sojourn)) if sojourn.size else 0.0
+    del sojourn   # before the overlap array of time_average_in_system is built
     overflow, defined = estimate_overflow(state, created_mask)
     queue_len = time_average_in_system(state.arrive, state.depart, warmup, horizon)
 
-    per_cluster_counts = np.bincount(state.cluster[in_window], minlength=n_clusters)
+    per_cluster_counts = np.bincount(state.cluster[first:], minlength=n_clusters)
     cluster_thr = {ci: float(c / window) for ci, c in enumerate(per_cluster_counts)}
     return NodeMetrics(
         mpd_s=mpd, throughput_pps=throughput, overflow_prob=overflow,
         overflow_defined=defined, mean_queue_len=queue_len,
-        packets=int(created_mask.sum()), arrivals_total=int(state.arrive.size),
+        packets=int(created_mask.sum()), arrivals_total=n,
         cluster_throughput_pps=cluster_thr)
 
 
 def _cluster_metrics(clusters, sink, node_metrics, warmup, horizon):
-    measured = (sink.created > warmup) & (sink.depart <= horizon)
-    e2e = sink.depart[measured] - sink.created[measured]
-    idx = sink.cluster[measured]
+    done = np.searchsorted(sink.depart, horizon, "right")
+    measured = sink.created[:done] > warmup
+    e2e = sink.depart[:done][measured]
+    e2e -= sink.created[:done][measured]
+    idx = sink.cluster[:done][measured]
     sums = np.bincount(idx, weights=e2e, minlength=len(clusters))
     counts = np.bincount(idx, minlength=len(clusters))
     overall_n = int(counts.sum())
@@ -312,7 +333,8 @@ def _merge_inputs(inputs: list[dict]) -> dict:
     """Merge sorted input streams into one sorted stream: one stable sort
     over the inputs in their given order, so on simultaneous events the
     earlier input goes first.  Empty inputs are skipped; a single input is
-    returned as is."""
+    returned as is.  Each key is popped from the inputs once gathered, so an
+    input array no one else holds is freed before the next key is built."""
     if not inputs:
         return {"times": np.empty(0), "created": np.empty(0),
                 "cluster": np.empty(0, dtype=np.int16), "source": np.empty(0, dtype=np.int32),
@@ -321,7 +343,7 @@ def _merge_inputs(inputs: list[dict]) -> dict:
     if len(inputs) == 1:
         return inputs[0]
     order = np.argsort(np.concatenate([s["times"] for s in inputs]), kind="stable")
-    return {key: np.concatenate([s[key] for s in inputs])[order] for key in inputs[0]}
+    return {key: np.concatenate([s.pop(key) for s in inputs])[order] for key in list(inputs[0])}
 
 
 def _trace_columns(clusters, states: dict[str, NodeState]) -> dict[str, list]:

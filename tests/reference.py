@@ -1,12 +1,18 @@
-"""Independent chronological event-loop oracle for the vectorized engine.
+"""Reference implementations the vectorized engine is checked against.
 
-A classic future-event-list simulation of one FIFO single server: arrivals
-and departures are interleaved on a heap in time order, a deque holds the
+``fifo_event_loop`` is an independent chronological oracle: a classic
+future-event-list simulation of one FIFO single server, arrivals and
+departures interleaved on a heap in time order, a deque holding the
 waiting packets.  Service times are supplied per arrival index so the
 oracle and the engine consume the identical randomness.
+
+``fifo_closed_form`` and ``time_average_min_max`` are the one-shot array
+forms the engine's blocked and prefix-split versions must equal bit for bit.
 """
 import heapq
 from collections import deque
+
+import numpy as np
 
 # departures sort before arrivals at equal times: a packet leaving exactly
 # when another arrives has already freed the server / left the system
@@ -43,3 +49,22 @@ def fifo_event_loop(arrivals, services):
             else:
                 busy = False
     return depart, seen
+
+
+def fifo_closed_form(arrive, service):
+    """FIFO departures in one shot: ``d = S + running-max(a - S_shifted)``
+    with ``S = cumsum(s)``, three full-length temporaries."""
+    total = np.cumsum(service)
+    slack = arrive - total + service          # a[i] - S[i-1]
+    np.maximum.accumulate(slack, out=slack)   # max over j<=i of (a[j] - S[j-1])
+    return slack + total
+
+
+def time_average_min_max(arrive, depart, lo, hi):
+    """Time-averaged number in system over (lo, hi] from the clipped
+    overlaps ``min(depart, hi) - max(arrive, lo)``."""
+    if arrive.size == 0 or hi <= lo:
+        return 0.0
+    overlap = np.minimum(depart, hi) - np.maximum(arrive, lo)
+    np.clip(overlap, 0.0, None, out=overlap)
+    return float(overlap.sum() / (hi - lo))
