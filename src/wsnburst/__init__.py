@@ -12,7 +12,7 @@ from .dists import (Deterministic, DistributionSpec, Exponential, ParameterError
                     Pareto, TPT, mean_of, reliability, sample, sample_array,
                     tpt_calibrate)
 from .model import (DeterministicLaw, DiscretizedLaw, DistKind,
-                    GeometricLaw, SinkParams, SourceParams, blowup_points,
+                    GeometricLaw, SourceParams, blowup_points,
                     bulk_factor, burstiness, derive_source_params, mpd_bulk_limit,
                     mpd_smooth_limit)
 from .simcore import (ReplicationResult, RunConfig, estimate_overflow,
@@ -26,7 +26,7 @@ __all__ = [
     "Pareto", "TPT", "mean_of", "reliability", "sample", "sample_array",
     "tpt_calibrate",
     "DeterministicLaw", "DiscretizedLaw", "DistKind",
-    "GeometricLaw", "SinkParams", "SourceParams", "blowup_points",
+    "GeometricLaw", "SourceParams", "blowup_points",
     "bulk_factor", "burstiness", "derive_source_params", "mpd_bulk_limit",
     "mpd_smooth_limit",
     "ReplicationResult", "RunConfig", "estimate_overflow", "run_replication",

@@ -15,7 +15,8 @@ import csv
 import json
 import logging
 import math
-import os
+import operator
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -39,23 +40,46 @@ class ConfigError(ValueError):
     """Configuration file could not be parsed or validated."""
 
 
-_DEFAULTS = {
-    "off_kind": "exp",
-    "n_p": 50.0,
-    "lambda_total": 50.0,
-    "B": 1000,
-    "horizon_s": 90_000.0,
-    "warmup_s": 3_600.0,
-    "days": 10,
-    "seed": 1729,
-    "out_dir": "results",
-    "emission_mode": "const",
-    "alpha": 1.4,
-    "theta": 0.5,
-    "trace": False,
+class _Field:
+    """One config key: its default (``...`` if every config must give the
+    key), its JSON type, and its range as (operator, bound) pairs."""
+
+    def __init__(self, default, kind=float, *needs):
+        self.default, self.kind, self.needs = default, kind, needs
+
+
+# Every key a sweep config may hold.  The rules that join several keys are
+# checked in config_from_dict.
+_FIELDS = {
+    "case": _Field(..., int, ("one of", (1, 2, 3))),
+    "N": _Field(..., list),       # entries: _NODE_COUNT
+    "b": _Field(..., dict),       # keys: _GRID
+    "on_kind": _Field(..., str),
+    "off_kind": _Field("exp", str, ("one of", ("exp", "pareto"))),
+    "n_p": _Field(50.0, float, (">=", 1.0)),
+    "lambda_total": _Field(50.0, float, (">", 0.0)),
+    "rho": _Field(0.5, float, (">", 0.0), ("<", 1.0)),
+    "v": _Field(None, float, (">", 0.0)),                  # sink rate, in place of rho
+    "B": _Field(1000, int, (">=", 1)),
+    "horizon_s": _Field(90_000.0, float, (">", 0.0)),
+    "warmup_s": _Field(3_600.0, float, (">=", 0.0)),
+    "days": _Field(10, int, (">=", 1)),
+    "seed": _Field(1729, int),
+    "out_dir": _Field("results", str),
+    "emission_mode": _Field("const", str, ("one of", ("const", "poisson"))),
+    "alpha": _Field(1.4, float, (">", 1.0)),
+    "theta": _Field(0.5, float, (">", 0.0), ("<", 1.0)),
+    "trace": _Field(False, bool),
+    "sink_service_rate": _Field(None, float, (">", 0.0)),  # cases 2-3 sensitivity override
 }
-_REQUIRED = ("case", "N", "b", "on_kind")
-_ALLOWED = set(_REQUIRED) | set(_DEFAULTS) | {"rho", "v", "sink_service_rate"}
+_NODE_COUNT = _Field(..., int, (">=", 1))
+_GRID = {"start": _Field(..., float, (">=", 0.0)),
+         "stop": _Field(..., float, ("<", 1.0)),           # burstiness 1 is a limit only
+         "step": _Field(..., float, (">", 0.0))}
+_OPS = {">": operator.gt, ">=": operator.ge, "<": operator.lt,
+        "one of": lambda value, options: value in options}
+_KIND_NAMES = {int: "an integer", float: "a finite number", str: "a string",
+               bool: "a boolean", list: "a list", dict: "an object"}
 
 
 @dataclass(frozen=True)
@@ -80,7 +104,7 @@ class SimConfig:
     alpha: float
     theta: float
     trace: bool
-    sink_service_rate: Optional[float] = None   # cases 2-3 sensitivity override
+    sink_service_rate: Optional[float]
     raw: dict = field(default_factory=dict, compare=False)
 
     def b_values(self) -> list[float]:
@@ -116,129 +140,60 @@ def load_config(path) -> SimConfig:
 
 
 def config_from_dict(raw: dict) -> SimConfig:
+    """Check ``raw`` against _FIELDS, then the rules that join several keys."""
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
-    unknown = sorted(set(raw) - _ALLOWED)
-    if unknown:
-        raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
-    missing = [k for k in _REQUIRED if k not in raw]
-    if missing:
-        raise ConfigError(f"missing required config keys: {', '.join(missing)}")
-
-    case = _expect_int(raw, "case")
-    if case not in (1, 2, 3):
-        raise ConfigError(f"field 'case' must be 1, 2 or 3, got {case}")
-
-    n_raw = raw["N"]
-    if not isinstance(n_raw, list) or not n_raw:
+    got = _check_fields(raw, _FIELDS)
+    n_list = tuple(_checked(f"N[{i}]", n, _NODE_COUNT) for i, n in enumerate(got.pop("N")))
+    if not n_list:
         raise ConfigError("field 'N' must be a non-empty list of node counts")
-    n_list = []
-    for item in n_raw:
-        if not isinstance(item, int) or item < 1:
-            raise ConfigError(f"field 'N' entries must be integers >= 1, got {item!r}")
-        n_list.append(item)
-
-    grid = raw["b"]
-    if not isinstance(grid, dict) or set(grid) != {"start", "stop", "step"}:
-        raise ConfigError("field 'b' must be an object with keys start, stop, step")
-    b_start, b_stop, b_step = (float(grid[k]) for k in ("start", "stop", "step"))
-    if not 0.0 <= b_start <= b_stop:
-        raise ConfigError(f"field 'b': need 0 <= start <= stop, got {b_start}..{b_stop}")
-    if b_stop >= 1.0:
-        raise ConfigError(f"field 'b': stop must be < 1 (burstiness 1 is a limit only), got {b_stop}")
-    if not b_step > 0.0:
-        raise ConfigError(f"field 'b': step must be > 0, got {b_step}")
-
-    alpha = _expect_pos(raw, "alpha")
-    theta = float(raw.get("theta", _DEFAULTS["theta"]))
-    if not 0.0 < theta < 1.0:
-        raise ConfigError(f"field 'theta' must be in (0,1), got {theta}")
-    if not alpha > 1.0:
-        raise ConfigError(f"field 'alpha' must be > 1, got {alpha}")
-
-    on_kind = raw["on_kind"]
+    grid = _check_fields(got.pop("b"), _GRID, "b.")
+    if not grid["start"] <= grid["stop"]:
+        raise ConfigError(f"field 'b': need start <= stop, got {grid['start']}..{grid['stop']}")
+    v = got.pop("v")
+    if v is not None:
+        if "rho" in raw:
+            raise ConfigError("give either 'rho' or 'v', not both")
+        got["rho"] = _checked("lambda_total/v", got["lambda_total"] / v, _FIELDS["rho"])
+    if not got["warmup_s"] < got["horizon_s"]:
+        raise ConfigError(f"field 'warmup_s' must be < horizon_s={got['horizon_s']}, "
+                          f"got {got['warmup_s']}")
+    if got["case"] == 1 and got["sink_service_rate"] is not None:
+        raise ConfigError("field 'sink_service_rate' applies to cases 2 and 3 "
+                          "(case 1 sets the sink via 'rho' or 'v')")
     try:
-        DistKind.parse(on_kind, alpha=alpha, theta=theta)
+        DistKind.parse(got["on_kind"], alpha=got["alpha"], theta=got["theta"])
     except (ParameterError, ValueError) as exc:
         raise ConfigError(f"field 'on_kind': {exc}") from None
-    off_kind = raw.get("off_kind", _DEFAULTS["off_kind"])
-    if off_kind not in ("exp", "pareto"):
-        raise ConfigError(f"field 'off_kind' must be 'exp' or 'pareto', got {off_kind!r}")
-
-    n_p = _expect_pos(raw, "n_p")
-    if n_p < 1.0:
-        raise ConfigError(f"field 'n_p' must be >= 1, got {n_p}")
-    lambda_total = _expect_pos(raw, "lambda_total")
-
-    if "rho" in raw and "v" in raw:
-        raise ConfigError("give either 'rho' or 'v', not both")
-    if "v" in raw:
-        v = float(raw["v"])
-        if not v > 0.0:
-            raise ConfigError(f"field 'v' must be > 0, got {v}")
-        rho = lambda_total / v
-        if not 0.0 < rho < 1.0:
-            raise ConfigError(f"field 'v'={v} gives utilization {rho}; need 0 < rho < 1")
-    else:
-        rho = float(raw.get("rho", 0.5))
-        if not 0.0 < rho < 1.0:
-            raise ConfigError(f"field 'rho' must be in (0,1), got {rho}")
-
-    B = _expect_int(raw, "B")
-    if B < 1:
-        raise ConfigError(f"field 'B' must be >= 1, got {B}")
-
-    horizon_s = _expect_pos(raw, "horizon_s")
-    warmup_s = float(raw.get("warmup_s", _DEFAULTS["warmup_s"]))
-    if not 0.0 <= warmup_s < horizon_s:
-        raise ConfigError(
-            f"field 'warmup_s' must satisfy 0 <= warmup_s < horizon_s, "
-            f"got warmup_s={warmup_s}, horizon_s={horizon_s}")
-    days = _expect_int(raw, "days")
-    if days < 1:
-        raise ConfigError(f"field 'days' must be >= 1, got {days}")
-    seed = _expect_int(raw, "seed")
-    emission_mode = raw.get("emission_mode", _DEFAULTS["emission_mode"])
-    if emission_mode not in ("const", "poisson"):
-        raise ConfigError(f"field 'emission_mode' must be 'const' or 'poisson', got {emission_mode!r}")
-    trace = raw.get("trace", False)
-    if not isinstance(trace, bool):
-        raise ConfigError("field 'trace' must be a boolean")
-
-    sink_service_rate = raw.get("sink_service_rate")
-    if sink_service_rate is not None:
-        sink_service_rate = float(sink_service_rate)
-        if case == 1:
-            raise ConfigError("field 'sink_service_rate' applies to cases 2 and 3 "
-                              "(case 1 sets the sink via 'rho' or 'v')")
-        if not sink_service_rate > 0.0:
-            raise ConfigError(f"field 'sink_service_rate' must be > 0, got {sink_service_rate}")
-
-    return SimConfig(
-        case=case, n_list=tuple(n_list), b_start=b_start, b_stop=b_stop,
-        b_step=b_step, on_kind=on_kind, off_kind=off_kind, n_p=n_p,
-        lambda_total=lambda_total, rho=rho, B=B, horizon_s=horizon_s,
-        warmup_s=warmup_s, days=days, seed=seed,
-        out_dir=str(raw.get("out_dir", _DEFAULTS["out_dir"])),
-        emission_mode=emission_mode, alpha=alpha, theta=theta, trace=trace,
-        sink_service_rate=sink_service_rate, raw=dict(raw))
+    return SimConfig(n_list=n_list, b_start=grid["start"], b_stop=grid["stop"],
+                     b_step=grid["step"], raw=dict(raw), **got)
 
 
-def _expect_int(raw: dict, key: str):
-    value = raw.get(key, _DEFAULTS.get(key))
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"field {key!r} must be an integer, got {value!r}")
-    return value
+def _check_fields(raw: dict, fields: dict, prefix: str = "") -> dict:
+    """Each key of ``fields`` with its checked value from ``raw``, or its
+    default; refuses keys that ``fields`` lacks and keys it requires."""
+    unknown = sorted(prefix + key for key in set(raw) - set(fields))
+    if unknown:
+        raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
+    missing = [prefix + key for key, spec in fields.items()
+               if spec.default is ... and key not in raw]
+    if missing:
+        raise ConfigError(f"missing required config keys: {', '.join(missing)}")
+    return {key: _checked(prefix + key, raw[key], spec) if key in raw else spec.default
+            for key, spec in fields.items()}
 
 
-def _expect_pos(raw: dict, key: str) -> float:
-    value = raw.get(key, _DEFAULTS.get(key))
-    try:
+def _checked(name: str, value, spec: _Field):
+    """``value`` if it has the JSON type and range of ``spec``.  A float
+    field takes a JSON integer too (as a float), but never a bool, a string
+    or a non-finite number."""
+    if spec.kind is float and type(value) is int and abs(value) <= sys.float_info.max:
         value = float(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"field {key!r} must be a number, got {value!r}") from None
-    if not value > 0.0:
-        raise ConfigError(f"field {key!r} must be > 0, got {value}")
+    if type(value) is not spec.kind or (spec.kind is float and not math.isfinite(value)):
+        raise ConfigError(f"field {name!r} must be {_KIND_NAMES[spec.kind]}, got {value!r}")
+    for op, bound in spec.needs:
+        if not _OPS[op](value, bound):
+            raise ConfigError(f"field {name!r} must be {op} {bound!r}, got {value!r}")
     return value
 
 

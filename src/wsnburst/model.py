@@ -68,23 +68,6 @@ def _check_close(name: str, actual: float, expected: float) -> None:
 
 
 @dataclass(frozen=True)
-class SinkParams:
-    """Service-side parameters of a queueing node."""
-
-    v: float      # service rate (packets/s)
-    rho: float    # utilization, offered load / v
-    B: int        # overflow-counting threshold (packets in system)
-
-    def __post_init__(self):
-        if not self.v > 0.0:
-            raise ParameterError(f"service rate v must be > 0, got {self.v}")
-        if not (0.0 < self.rho < 1.0):
-            raise ParameterError(f"utilization rho must be in (0,1) for steady state, got {self.rho}")
-        if self.B < 1:
-            raise ParameterError(f"threshold B must be >= 1, got {self.B}")
-
-
-@dataclass(frozen=True)
 class DistKind:
     """Shape selector for ON/OFF laws: 'exp', 'pareto', or 'tpt' with a
     truncation level (written 'tpt:<T>' in configs)."""

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .dists import ParameterError
-from .model import SinkParams
 
 ROLE_RELAY = "relay"
 ROLE_SINK = "sink"
@@ -92,9 +91,12 @@ def build_star(n_sources: int, lambda_total: float, v: float,
     """N sources talking directly to one sink."""
     if n_sources < 1:
         raise ParameterError(f"n_sources must be >= 1, got {n_sources}")
-    if not lambda_total > 0.0:
-        raise ParameterError(f"lambda_total must be > 0, got {lambda_total}")
-    SinkParams(v=v, rho=lambda_total / v, B=threshold)  # validates rates/threshold
+    if not v > 0.0:
+        raise ParameterError(f"service rate v must be > 0, got {v}")
+    if not 0.0 < lambda_total / v < 1.0:   # also refuses lambda_total <= 0
+        raise ParameterError(f"utilization lambda_total/v must be in (0,1), got {lambda_total / v}")
+    if threshold < 1:
+        raise ParameterError(f"threshold must be >= 1, got {threshold}")
     return TopologySpec(
         nodes=(NodeSpec("sink", ROLE_SINK, service_rate=v, threshold=threshold),),
         edges=(),

@@ -17,6 +17,7 @@ from wsnburst.experiments import (ConfigError, blowup_table, config_from_dict,
                                   read_results_csv, run_point, run_sweep, summarize)
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads"
 
 MINIMAL = {"case": 1, "N": [1],
            "b": {"start": 0.05, "stop": 0.95, "step": 0.05}, "on_kind": "exp"}
@@ -36,10 +37,12 @@ def write_config(tmp_path, payload, name="cfg.json"):
 
 def test_minimal_config_defaults(tmp_path):
     cfg = load_config(write_config(tmp_path, MINIMAL))
-    assert cfg.horizon_s == 90_000.0
-    assert cfg.warmup_s == 3_600.0
-    assert cfg.days == 10
-    assert cfg.rho == 0.5 and cfg.lambda_total == 50.0
+    assert (cfg.off_kind, cfg.n_p, cfg.lambda_total, cfg.rho) == ("exp", 50.0, 50.0, 0.5)
+    assert (cfg.B, cfg.horizon_s, cfg.warmup_s, cfg.days) == (1000, 90_000.0, 3_600.0, 10)
+    assert (cfg.seed, cfg.out_dir, cfg.emission_mode) == (1729, "results", "const")
+    assert (cfg.alpha, cfg.theta, cfg.trace, cfg.sink_service_rate) == (1.4, 0.5, False, None)
+    assert all(type(x) is float for x in (cfg.n_p, cfg.lambda_total, cfg.rho, cfg.horizon_s,
+                                          cfg.warmup_s, cfg.alpha, cfg.theta))
     assert len(cfg.b_values()) == 19
     assert cfg.b_values()[0] == 0.05 and cfg.b_values()[-1] == 0.95
 
@@ -54,9 +57,9 @@ def test_config_parse_error_reports_position(tmp_path):
 @pytest.mark.parametrize("patch, match", [
     ({"frobnicate": 1}, "unknown config keys: frobnicate"),
     ({"warmup_s": 90_000.0}, "warmup_s"),
-    ({"b": {"start": 0.5, "stop": 1.0, "step": 0.05}}, "stop"),
-    ({"b": {"start": 0.5, "stop": 0.4, "step": 0.05}}, "start"),
-    ({"b": {"start": 0.1, "stop": 0.9, "step": 0.0}}, "step"),
+    ({"b": {"start": 0.5, "stop": 1.0, "step": 0.05}}, "'b.stop' must be < 1"),
+    ({"b": {"start": 0.5, "stop": 0.4, "step": 0.05}}, "need start <= stop"),
+    ({"b": {"start": 0.1, "stop": 0.9, "step": 0.0}}, "'b.step' must be > 0"),
     ({"rho": 0.5, "v": 100.0}, "not both"),
     ({"rho": 1.2}, "rho"),
     ({"case": 4}, "case"),
@@ -69,6 +72,21 @@ def test_config_parse_error_reports_position(tmp_path):
     ({"days": 0}, "days"),
     ({"n_p": 0.5}, "n_p"),
     ({"emission_mode": "bulk"}, "emission_mode"),
+    # ill-typed values are config errors, not runtime failures
+    ({"b": {"start": "x", "stop": 0.9, "step": 0.1}}, "'b.start' must be a finite number"),
+    ({"theta": "abc"}, "'theta' must be a finite number"),
+    ({"rho": "abc"}, "'rho' must be a finite number"),
+    ({"v": "abc"}, "'v' must be a finite number"),
+    ({"warmup_s": "abc"}, "'warmup_s' must be a finite number"),
+    ({"case": 2, "sink_service_rate": "abc"}, "'sink_service_rate' must be a finite number"),
+    ({"on_kind": 5}, "'on_kind' must be a string"),
+    # no bool or string stands in for a number
+    ({"N": [True]}, "must be an integer, got True"),
+    ({"lambda_total": True}, "'lambda_total' must be a finite number"),
+    ({"n_p": "5"}, "'n_p' must be a finite number"),
+    # non-finite numbers are refused before a run could fail on them
+    ({"horizon_s": math.inf}, "'horizon_s' must be a finite number"),
+    ({"v": 25.0}, "'lambda_total/v' must be < 1"),   # 50 / 25 gives utilization 2
 ])
 def test_config_validation_errors(tmp_path, patch, match):
     payload = dict(MINIMAL)
@@ -346,9 +364,15 @@ def test_cli_validate_refuses_what_simulate_refuses(tmp_path, capsys):
     assert cli_main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")]) == 3
 
 
-def test_cli_validate_shipped_configs():
+def test_cli_validate_shipped_configs(tmp_path):
     for path in sorted(CONFIGS.glob("*.json")):
         assert cli_main(["validate", "--config", str(path)]) == 0, path
+    for path in sorted(WORKLOADS.glob("*.json")):
+        spec = json.loads(path.read_text())
+        for name, payload in (("config", spec["config"]),
+                              ("smoke", {**spec["config"], **spec["smoke"]["config"]})):
+            config = write_config(tmp_path, payload, f"{path.stem}_{name}.json")
+            assert cli_main(["validate", "--config", str(config)]) == 0, (path, name)
 
 
 def test_cli_missing_config_exit_2(tmp_path):

@@ -9,7 +9,7 @@ from scipy.special import zeta
 from wsnburst.dists import (Deterministic, Exponential, ParameterError, Pareto, mean_of,
                             reliability, tpt_calibrate)
 from wsnburst.model import (DeterministicLaw, DiscretizedLaw, DistKind, GeometricLaw,
-                            SinkParams, SourceParams, blowup_points, bulk_factor,
+                            SourceParams, blowup_points, bulk_factor,
                             bulk_law_for, burstiness, derive_source_params,
                             mpd_bulk_limit, mpd_smooth_limit)
 
@@ -215,16 +215,6 @@ def test_source_params_invariants_enforced():
                      on_mean=0.5, off_mean=0.5,
                      on_dist=Exponential(0.7),  # wrong ON mean
                      off_dist=Exponential(0.5))
-
-
-def test_sink_params_invariants():
-    SinkParams(v=100.0, rho=0.5, B=1000)
-    with pytest.raises(ParameterError):
-        SinkParams(v=100.0, rho=1.0, B=1000)
-    with pytest.raises(ParameterError):
-        SinkParams(v=0.0, rho=0.5, B=1000)
-    with pytest.raises(ParameterError):
-        SinkParams(v=100.0, rho=0.5, B=0)
 
 
 def test_dist_kind_parsing():

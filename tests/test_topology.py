@@ -28,6 +28,16 @@ def test_build_star_rejects_zero_rate():
         build_star(1, 0.0, 100.0)
 
 
+def test_build_star_refuses_bad_sink():
+    build_star(1, 50.0, 100.0, threshold=1000)
+    with pytest.raises(ParameterError, match="utilization"):
+        build_star(1, 100.0, 100.0, threshold=1000)   # rho = 1
+    with pytest.raises(ParameterError, match="service rate"):
+        build_star(1, 50.0, 0.0, threshold=1000)
+    with pytest.raises(ParameterError, match="threshold"):
+        build_star(1, 50.0, 100.0, threshold=0)
+
+
 def test_build_case2_rates_and_depth():
     topo = build_case2(1, 50.0, 0.5)
     assert validate_topology(topo) == []
