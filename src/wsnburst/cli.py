@@ -80,10 +80,11 @@ def _cmd_analytic(args) -> int:
     if args.kind == "blowup":
         sweep = None
         if args.rho_sweep:
-            parts = args.rho_sweep.split(":")
-            if len(parts) != 3:
-                raise ConfigError(f"--rho-sweep expects A:B:STEP, got {args.rho_sweep!r}")
-            sweep = tuple(float(p) for p in parts)
+            try:
+                lo, hi, step = (float(p) for p in args.rho_sweep.split(":"))
+            except ValueError:
+                raise ConfigError(f"--rho-sweep expects A:B:STEP, got {args.rho_sweep!r}") from None
+            sweep = (lo, hi, step)
         rows = blowup_table(args.n, args.rho, rho_sweep=sweep)
         print(f"{'N':>4} {'rho':>10} {'i':>4} {'b_i':>14}")
         for row in rows:

@@ -136,6 +136,8 @@ def load_config(path) -> SimConfig:
     except json.JSONDecodeError as exc:
         raise ConfigError(
             f"config parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
+    except ValueError as exc:   # e.g. an integer over Python's digit limit, or bad UTF-8
+        raise ConfigError(f"config parse error: {exc}") from None
     return config_from_dict(raw)
 
 
@@ -506,6 +508,9 @@ def blowup_table(n: int, rho: float,
                  rho_sweep: Optional[tuple[float, float, float]] = None) -> list[dict]:
     """Blow-up point locations; with ``rho_sweep`` the table covers the
     utilization sensitivity (a, b, step)."""
+    if rho_sweep is not None and not (all(map(math.isfinite, rho_sweep))
+                                      and rho_sweep[0] <= rho_sweep[1] and rho_sweep[2] > 0.0):
+        raise ParameterError(f"rho sweep needs finite a <= b and step > 0, got {rho_sweep}")
     rhos = [rho] if rho_sweep is None else _grid(*rho_sweep)
     out = []
     for r in rhos:
@@ -517,10 +522,13 @@ def blowup_table(n: int, rho: float,
 def parse_bulk_law(text: str):
     """Parse a burst-size law argument: 'geom:<mean>' or 'det:<packets>'."""
     kind, _, arg = text.partition(":")
-    if kind == "geom" and arg:
-        return GeometricLaw(mean=float(arg))
-    if kind == "det" and arg:
-        return DeterministicLaw(packets=int(arg))
+    try:
+        if kind == "geom":
+            return GeometricLaw(mean=float(arg))
+        if kind == "det":
+            return DeterministicLaw(packets=int(arg))
+    except ValueError as exc:   # a malformed number, or a law that refuses it
+        raise ParameterError(f"bulk law {text!r}: {exc}") from None
     raise ParameterError(f"unknown bulk law {text!r}; expected geom:<n_p> or det:<L>")
 
 

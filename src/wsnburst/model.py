@@ -177,7 +177,7 @@ class GeometricLaw:
     mean: float
 
     def __post_init__(self):
-        if self.mean < 1.0:
+        if not self.mean >= 1.0:   # refuses NaN too
             raise ParameterError(f"geometric burst-size mean must be >= 1, got {self.mean}")
 
     def moments(self) -> tuple[float, float]:

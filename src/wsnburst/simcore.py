@@ -79,7 +79,6 @@ class NodeMetrics:
     mpd_s: float
     throughput_pps: float
     overflow_prob: float
-    overflow_defined: bool
     mean_queue_len: float
     packets: int               # post-warm-up arrivals
     arrivals_total: int
@@ -177,18 +176,18 @@ def packets_seen(arrive: np.ndarray, depart: np.ndarray) -> np.ndarray:
         depart, arrive, side="right")
 
 
-def estimate_overflow(state: NodeState, mask: np.ndarray) -> tuple[float, bool]:
+def estimate_overflow(state: NodeState, mask: np.ndarray) -> float:
     """Fraction of the arrivals selected by ``mask`` that find >= threshold
     packets in the node: departures are sorted, so arrival i does iff
     ``depart[i-B] > arrive[i]``.  Buffers are infinite; nothing is dropped.
-    With no selected arrivals the probability is 0 with defined=False."""
+    With no selected arrivals the probability is 0."""
     n = int(np.count_nonzero(mask))
     if n == 0:
-        return 0.0, False
+        return 0.0
     B = state.threshold
     k = max(state.arrive.size - B, 0)     # arrivals with at least B predecessors
     hits = np.count_nonzero((state.depart[:k] > state.arrive[B:]) & mask[B:])
-    return hits / n, True
+    return hits / n
 
 
 def time_average_in_system(arrive: np.ndarray, depart: np.ndarray,
@@ -209,8 +208,8 @@ def time_average_in_system(arrive: np.ndarray, depart: np.ndarray,
 
 def simulate(topo: TopologySpec, sources: Mapping[str, SourceParams],
              config: RunConfig, seed: int) -> Iterator[tuple[str, NodeState]]:
-    """Yield ``(node_id, state)`` per queue node of one replication,
-    child-before-parent, keeping no yielded state.  ``sources`` maps
+    """Yield ``(node_id, state)`` per queue node of one replication, in the
+    serving order of ``topo.nodes``, keeping no yielded state.  ``sources`` maps
     cluster_id to the per-source parameters of that cluster (all sources of
     a cluster are identical).  Identical (topology, sources, config, seed)
     give bitwise-identical trajectories."""
@@ -241,14 +240,14 @@ def simulate(topo: TopologySpec, sources: Mapping[str, SourceParams],
         return merged
 
     pending: dict[str, dict] = {}   # child id -> the part of its output that reaches its parent
-    for node in topo.queue_nodes():
+    for node in topo.nodes:
         merged = _merge_inputs(
             [pending.pop(child_id) for child_id in topo.children_of(node.node_id)]
             + [emitted(ci, c) for ci, c in enumerate(topo.clusters) if c.attach == node.node_id])
         arrive = merged.pop("times")
         svc_rng = substream(derive_seed(seed, _SVC_TAG, fnv1a64(node.node_id)))
         depart = fifo_departures(arrive, svc_rng.exponential(1.0 / node.service_rate, arrive.size))
-        if node.node_id != topo.sink_id:
+        if node.parent is not None:
             k = np.searchsorted(depart, horizon, "right")  # later ones never reach the parent
             pending[node.node_id] = {"times": depart[:k],
                                      **{key: merged[key][:k] for key in carried}}
@@ -276,7 +275,7 @@ def run_replication(topo: TopologySpec, sources: Mapping[str, SourceParams],
             states[node_id] = st
         del st   # else it would pin this child while its parent merges
     saturated = any(topo.offered_load(node.node_id) >= node.service_rate * (1.0 - 1e-12)
-                    for node in topo.queue_nodes())
+                    for node in topo.nodes)
     per_cluster, overall_e2e, overall_n = _cluster_metrics(
         clusters, states[topo.sink_id], metrics, warmup, horizon)
     return ReplicationResult(
@@ -297,14 +296,13 @@ def _node_metrics(state: NodeState, warmup: float, horizon: float,
     sojourn -= state.arrive[:done][created_mask[:done]]
     mpd = float(np.mean(sojourn)) if sojourn.size else 0.0
     del sojourn   # before the overlap array of time_average_in_system is built
-    overflow, defined = estimate_overflow(state, created_mask)
+    overflow = estimate_overflow(state, created_mask)
     queue_len = time_average_in_system(state.arrive, state.depart, warmup, horizon)
 
     per_cluster_counts = np.bincount(state.cluster[first:], minlength=n_clusters)
     cluster_thr = {ci: float(c / window) for ci, c in enumerate(per_cluster_counts)}
     return NodeMetrics(
-        mpd_s=mpd, throughput_pps=throughput, overflow_prob=overflow,
-        overflow_defined=defined, mean_queue_len=queue_len,
+        mpd_s=mpd, throughput_pps=throughput, overflow_prob=overflow, mean_queue_len=queue_len,
         packets=int(created_mask.sum()), arrivals_total=n,
         cluster_throughput_pps=cluster_thr)
 

@@ -1,10 +1,11 @@
-"""Case-study network shapes: directed trees of queues rooted at the sink.
+"""Case-study network shapes: trees of queues rooted at the sink.
 
 The tree holds queues only: relays and the sink, FIFO infinite-buffer
-servers, linked child -> parent.  Sources are grouped into clusters; a
-cluster hands its packets straight into the queue named by its
-``attach`` (a relay or the sink).  Three builders cover the studied
-layouts:
+servers.  Each node names its ``parent`` (None at the sink), and
+``TopologySpec.nodes`` lists them in serving order: every queue before its
+parent, the sink last.  Sources are grouped into clusters; a cluster hands
+its packets straight into the queue named by its ``attach`` (a relay or
+the sink).  Three builders cover the studied layouts:
 
 * ``build_star``    -- N sources -> sink.
 * ``build_case2``   -- two clusters -> two relays -> sink.
@@ -23,14 +24,11 @@ from typing import Optional
 
 from .dists import ParameterError
 
-ROLE_RELAY = "relay"
-ROLE_SINK = "sink"
-
 
 @dataclass(frozen=True)
 class NodeSpec:
     node_id: str
-    role: str
+    parent: Optional[str]  # node_id of the queue it feeds; None at the sink
     service_rate: float    # packets/s
     threshold: int         # overflow-counting threshold B
 
@@ -45,8 +43,7 @@ class ClusterSpec:
 
 @dataclass(frozen=True)
 class TopologySpec:
-    nodes: tuple[NodeSpec, ...]          # queues: relays and the sink
-    edges: tuple[tuple[str, str], ...]   # (child, parent), oriented toward the sink
+    nodes: tuple[NodeSpec, ...]   # serving order: each queue before its parent, the sink last
     clusters: tuple[ClusterSpec, ...]
 
     def node(self, node_id: str) -> NodeSpec:
@@ -57,25 +54,10 @@ class TopologySpec:
 
     @property
     def sink_id(self) -> str:
-        for n in self.nodes:
-            if n.role == ROLE_SINK:
-                return n.node_id
-        raise ParameterError("topology has no sink")
+        return self.nodes[-1].node_id
 
     def children_of(self, node_id: str) -> list[str]:
-        return [c for c, p in self.edges if p == node_id]
-
-    def queue_nodes(self) -> list[NodeSpec]:
-        """Serving nodes (relays then sink) in child-before-parent order."""
-        order: list[NodeSpec] = []
-
-        def visit(node_id: str) -> None:
-            for child in self.children_of(node_id):
-                visit(child)
-            order.append(self.node(node_id))
-
-        visit(self.sink_id)
-        return order
+        return [n.node_id for n in self.nodes if n.parent == node_id]
 
     def clusters_at(self, node_id: str) -> list[ClusterSpec]:
         return [c for c in self.clusters if c.attach == node_id]
@@ -98,8 +80,7 @@ def build_star(n_sources: int, lambda_total: float, v: float,
     if threshold < 1:
         raise ParameterError(f"threshold must be >= 1, got {threshold}")
     return TopologySpec(
-        nodes=(NodeSpec("sink", ROLE_SINK, service_rate=v, threshold=threshold),),
-        edges=(),
+        nodes=(NodeSpec("sink", None, service_rate=v, threshold=threshold),),
         clusters=(ClusterSpec("cluster_1", n_sources, attach="sink",
                               arrival_rate=lambda_total),))
 
@@ -135,16 +116,14 @@ def _build_relayed(n_per_cluster: int, lambda_per_cluster: float, rho_target: fl
         sink_service_rate = (3.0 if direct else 2.0) * lambda_per_cluster / rho_target
     relays = ("relay_1", "relay_2")
     relay_rate = lambda_per_cluster / rho_target
-    nodes = tuple(NodeSpec(r, ROLE_RELAY, service_rate=relay_rate, threshold=threshold)
+    nodes = tuple(NodeSpec(r, "sink", service_rate=relay_rate, threshold=threshold)
                   for r in relays)
-    nodes += (NodeSpec("sink", ROLE_SINK, service_rate=sink_service_rate,
-                       threshold=threshold),)
+    nodes += (NodeSpec("sink", None, service_rate=sink_service_rate, threshold=threshold),)
     attach = relays + (("sink",) if direct else ())
     clusters = tuple(ClusterSpec(f"cluster_{i}", n_per_cluster, attach=node_id,
                                  arrival_rate=lambda_per_cluster)
                      for i, node_id in enumerate(attach, start=1))
-    return TopologySpec(nodes=nodes, edges=tuple((r, "sink") for r in relays),
-                        clusters=clusters)
+    return TopologySpec(nodes=nodes, clusters=clusters)
 
 
 def validate_topology(spec: TopologySpec) -> list[str]:
@@ -154,39 +133,19 @@ def validate_topology(spec: TopologySpec) -> list[str]:
     ids = [n.node_id for n in spec.nodes]
     if len(set(ids)) != len(ids):
         issues.append("duplicate node ids")
-    sinks = [n for n in spec.nodes if n.role == ROLE_SINK]
-    if len(sinks) != 1:
-        issues.append(f"multiple sinks ({len(sinks)})" if sinks else "no sink")
-        return issues
-
-    known = set(ids)
-    for child, parent in spec.edges:
-        if child not in known or parent not in known:
-            issues.append(f"edge ({child} -> {parent}) references unknown node")
-    children_seen = [c for c, _ in spec.edges]
-    if len(set(children_seen)) != len(children_seen):
-        issues.append("a node has more than one parent: not a tree")
-
-    sink = sinks[0].node_id
-    if any(c == sink for c, _ in spec.edges):
-        issues.append("sink must not have a parent")
-
-    # every node reaches the sink without cycles
-    parent = {c: p for c, p in spec.edges}
-    for n in spec.nodes:
-        seen, cur = set(), n.node_id
-        while cur != sink:
-            if cur in seen or cur not in parent:
-                issues.append(f"node {n.node_id} does not reach the sink: not a tree")
-                break
-            seen.add(cur)
-            cur = parent[cur]
-
+    if not ids:
+        issues.append("no sink")
+    # serving order: each node names a parent listed after it and the last one
+    # (the sink) names none, which rules out cycles and second roots
+    for i, n in enumerate(spec.nodes):
+        if n.parent not in (ids[i + 1:] or [None]):
+            issues.append(f"node {n.node_id}: parent {n.parent!r} is not a node listed "
+                          "after it (only the sink, last, has none): not a tree")
     cluster_ids = [c.cluster_id for c in spec.clusters]
     if len(set(cluster_ids)) != len(cluster_ids):
         issues.append("duplicate cluster ids")
     for c in spec.clusters:
-        if c.attach not in known:
+        if c.attach not in ids:
             issues.append(f"cluster {c.cluster_id} attaches to unknown node {c.attach}")
         if c.n_sources < 0:
             issues.append(f"cluster {c.cluster_id} has negative source count")

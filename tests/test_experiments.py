@@ -354,6 +354,10 @@ def test_cli_validate_ok(tmp_path, capsys):
 def test_cli_validate_bad_config_exit_2(tmp_path, capsys):
     path = write_config(tmp_path, {**FAST, "days": 0})
     assert cli_main(["validate", "--config", str(path)]) == 2
+    # json refuses an integer literal past Python's int-string digit limit with a ValueError
+    path.write_text(json.dumps(FAST).replace('"seed": 5', '"seed": ' + "9" * 5000))
+    assert cli_main(["validate", "--config", str(path)]) == 2
+    assert "config parse error" in capsys.readouterr().err
 
 
 def test_cli_validate_refuses_what_simulate_refuses(tmp_path, capsys):
@@ -380,8 +384,18 @@ def test_cli_missing_config_exit_2(tmp_path):
 
 
 def test_cli_bad_law_exit_2():
-    assert cli_main(["analytic", "limits", "--v", "20", "--rho", "0.5",
-                     "--law", "zipf:3"]) == 2
+    for law in ("zipf:3", "det:2.5", "geom:abc", "geom:", "det", "geom:nan"):
+        assert cli_main(["analytic", "limits", "--v", "20", "--rho", "0.5",
+                         "--law", law]) == 2, law
+
+
+@pytest.mark.parametrize("sweep", ["0.1:0.9:-0.1", "0.1:0.9:0", "0.9:0.1:0.1", "nan:0.9:0.1",
+                                   "0.1:inf:0.1", "0.1:0.9:inf", "0.1:x:0.1", "0.1:0.9"])
+def test_cli_bad_rho_sweep_exit_2(sweep, capsys):
+    # a step <= 0 used to grow the grid without end
+    assert cli_main(["analytic", "blowup", "--n", "2", "--rho", "0.5",
+                     "--rho-sweep", sweep]) == 2
+    assert "rho" in capsys.readouterr().err
 
 
 def test_cli_simulate_writes_outputs(tmp_path, capsys):

@@ -140,20 +140,19 @@ def test_emission_partial_burst_cut_at_horizon():
 # --------------------------------------------------------- run_replication
 
 def test_zero_sources_give_zero_metrics():
-    topo = TopologySpec(nodes=(NodeSpec("sink", "sink", service_rate=10.0, threshold=5),),
-                        edges=(), clusters=(ClusterSpec("cluster_1", 0, "sink", 0.0),))
+    topo = TopologySpec(nodes=(NodeSpec("sink", None, service_rate=10.0, threshold=5),),
+                        clusters=(ClusterSpec("cluster_1", 0, "sink", 0.0),))
     res = run_replication(topo, {}, RunConfig(horizon_s=100.0, warmup_s=10.0), seed=1)
     m = res.per_node["sink"]
     assert m.mpd_s == 0.0 and m.throughput_pps == 0.0 and m.overflow_prob == 0.0
-    assert not m.overflow_defined
-    assert res.overall_packets == 0
+    assert m.packets == 0 and res.overall_packets == 0
 
 
 def test_empty_cluster_beside_a_live_one():
     # the empty stream of a source-less cluster merges like any other input
-    topo = TopologySpec(nodes=(NodeSpec("sink", "sink", service_rate=100.0, threshold=10),),
-                        edges=(), clusters=(ClusterSpec("cluster_1", 0, "sink", 0.0),
-                                            ClusterSpec("cluster_2", 1, "sink", 50.0)))
+    topo = TopologySpec(nodes=(NodeSpec("sink", None, service_rate=100.0, threshold=10),),
+                        clusters=(ClusterSpec("cluster_1", 0, "sink", 0.0),
+                                  ClusterSpec("cluster_2", 1, "sink", 50.0)))
     res = run_replication(topo, {"cluster_2": bursty_params()},
                           RunConfig(horizon_s=100.0, warmup_s=10.0), seed=1)
     assert res.per_cluster["cluster_1"].packets == 0
@@ -212,12 +211,21 @@ def test_adding_a_cluster_does_not_perturb_other_streams():
 
 
 def test_saturated_flag_on_overloaded_node():
-    topo = TopologySpec(nodes=(NodeSpec("sink", "sink", service_rate=40.0, threshold=100),),
-                        edges=(), clusters=(ClusterSpec("cluster_1", 1, "sink", 50.0),))
+    topo = TopologySpec(nodes=(NodeSpec("sink", None, service_rate=40.0, threshold=100),),
+                        clusters=(ClusterSpec("cluster_1", 1, "sink", 50.0),))
     src = bursty_params(lam=50.0, b=0.2)
     res = run_replication(topo, {"cluster_1": src},
                           RunConfig(horizon_s=600.0, warmup_s=60.0), seed=3)
     assert res.saturated
+
+
+def test_sink_first_listing_is_refused():
+    # nodes are served in the order listed, so a parent before its children is an error
+    topo = wb.build_case2(1, 50.0, 0.5)
+    sink_first = TopologySpec(nodes=topo.nodes[-1:] + topo.nodes[:-1], clusters=topo.clusters)
+    sources = {c.cluster_id: bursty_params(50.0, 1, b=0.5) for c in topo.clusters}
+    with pytest.raises(wb.ParameterError, match="not a tree"):
+        run_replication(sink_first, sources, RunConfig(horizon_s=600.0, warmup_s=60.0), seed=1)
 
 
 def test_case2_throughput_conservation_single_day():
@@ -259,8 +267,7 @@ def test_overflow_busy_period_threshold_one():
     depart = fifo_departures(arrive, np.array([1.0, 1.0, 1.0]))
     state = NodeState("n", 1, arrive, depart, created=arrive,
                       cluster=np.zeros(3, dtype=np.int16))
-    prob, defined = estimate_overflow(state, state.created > -1.0)
-    assert defined and prob == pytest.approx(2.0 / 3.0)
+    assert estimate_overflow(state, state.created > -1.0) == pytest.approx(2.0 / 3.0)
 
 
 def test_overflow_unreachable_threshold_is_zero():
@@ -290,9 +297,8 @@ def test_overflow_shifted_compare_is_exact(n, seed, load, on_grid, warm_frac, da
     _, oracle_seen = fifo_event_loop(arrive.tolist(), service.tolist())
     state = NodeState("n", B, arrive, depart, created=arrive,
                       cluster=np.zeros(n, dtype=np.int16))
-    prob, defined = estimate_overflow(state, mask)
+    prob = estimate_overflow(state, mask)
     measured = int(mask.sum())
-    assert defined == (measured > 0)
     for seen in (np.asarray(oracle_seen), packets_seen(arrive, depart)):
         hits = int(np.count_nonzero(seen[mask] >= B))
         assert prob == (hits / measured if measured else 0.0)
@@ -313,7 +319,7 @@ def test_overflow_equals_packets_seen_count_on_replications(case):
         for B in (1, 2, 10, 1000, n - 1, n, n + 3):
             state = NodeState(node.node_id, B, node.arrive, node.depart,
                               node.created, node.cluster)
-            prob, _ = estimate_overflow(state, mask)
+            prob = estimate_overflow(state, mask)
             assert prob == np.count_nonzero(seen[mask] >= B) / mask.sum()
 
 

@@ -10,7 +10,7 @@ from wsnburst.topology import (ClusterSpec, NodeSpec, TopologySpec, build_case2,
 def test_build_star_depth_and_utilization():
     topo = build_star(1, 50.0, 100.0, threshold=1000)
     assert validate_topology(topo) == []
-    assert [n.node_id for n in topo.queue_nodes()] == ["sink"]
+    assert [n.node_id for n in topo.nodes] == ["sink"] and topo.sink_id == "sink"
     assert topo.clusters_at("sink") == list(topo.clusters)
     sink = topo.node("sink")
     assert topo.offered_load("sink") / sink.service_rate == pytest.approx(0.5)
@@ -53,7 +53,7 @@ def test_build_case2_rates_and_depth():
 def test_build_case2_any_n_keeps_depth():
     for n in (1, 2, 5, 10):
         topo = build_case2(n, 50.0, 0.5)
-        assert [node.node_id for node in topo.queue_nodes()] == ["relay_1", "relay_2", "sink"]
+        assert [node.node_id for node in topo.nodes] == ["relay_1", "relay_2", "sink"]
         assert validate_topology(topo) == []
         for c in topo.clusters:
             assert c.arrival_rate / c.n_sources == pytest.approx(50.0 / n)
@@ -78,31 +78,30 @@ def test_build_case3_rates_and_paths():
         assert topo.offered_load(node_id) == 0.5 * v
 
 
-def test_queue_nodes_children_before_parents():
+def test_nodes_listed_children_before_parents():
     topo = build_case3(1, 50.0, 0.5)
-    order = [n.node_id for n in topo.queue_nodes()]
+    order = [n.node_id for n in topo.nodes]
     assert order.index("relay_1") < order.index("sink")
     assert order.index("relay_2") < order.index("sink")
-    assert order[-1] == "sink"
+    assert order[-1] == topo.sink_id == "sink" and topo.nodes[-1].parent is None
+    assert [n.parent for n in topo.nodes[:-1]] == ["sink", "sink"]
 
 
 def test_validate_detects_multiple_sinks():
     topo = build_star(1, 50.0, 100.0)
     broken = replace(topo, nodes=topo.nodes + (
-        NodeSpec("sink2", "sink", service_rate=10.0, threshold=10),))
+        NodeSpec("sink2", None, service_rate=10.0, threshold=10),))
     issues = validate_topology(broken)
     assert any("sink" in i for i in issues)
 
 
 def test_validate_detects_cycle():
     nodes = (
-        NodeSpec("relay_1", "relay", 100.0, 10),
-        NodeSpec("relay_2", "relay", 100.0, 10),
-        NodeSpec("sink", "sink", 100.0, 10),
+        NodeSpec("relay_1", "relay_2", 100.0, 10),
+        NodeSpec("relay_2", "relay_1", 100.0, 10),
+        NodeSpec("sink", None, 100.0, 10),
     )
-    edges = (("relay_1", "relay_2"), ("relay_2", "relay_1"))
-    spec = TopologySpec(nodes=nodes, edges=edges,
-                        clusters=(ClusterSpec("cluster_1", 1, "relay_1", 5.0),))
+    spec = TopologySpec(nodes=nodes, clusters=(ClusterSpec("cluster_1", 1, "relay_1", 5.0),))
     issues = validate_topology(spec)
     assert any("not a tree" in i for i in issues)
 
@@ -116,6 +115,5 @@ def test_validate_detects_bad_cluster_attachment():
 
 def test_validate_detects_missing_service_rate():
     topo = build_star(1, 50.0, 100.0)
-    nodes = tuple(NodeSpec(n.node_id, n.role, 0.0, n.threshold) if n.role == "sink" else n
-                  for n in topo.nodes)
+    nodes = tuple(replace(n, service_rate=0.0) if n.parent is None else n for n in topo.nodes)
     assert any("service rate" in i for i in validate_topology(replace(topo, nodes=nodes)))
