@@ -35,6 +35,8 @@ from .topology import TopologySpec, build_case2, build_case3, build_star
 
 log = logging.getLogger(__name__)
 
+MAX_GRID_POINTS = 10_000   # b or rho values in one sweep; a finer step is a typo
+
 
 class ConfigError(ValueError):
     """Configuration file could not be parsed or validated."""
@@ -118,7 +120,11 @@ class SimConfig:
 
 
 def _grid(lo: float, hi: float, step: float) -> list[float]:
-    """lo, lo + step, ... up to hi, each rounded to 9 decimals."""
+    """lo, lo + step, ... up to hi, each rounded to 9 decimals.  Refuses a
+    grid of more than MAX_GRID_POINTS points before building any of it."""
+    if (hi - lo) / step >= MAX_GRID_POINTS:
+        raise ConfigError(f"grid {lo}..{hi} by step {step} has more than "
+                          f"{MAX_GRID_POINTS} points")
     vals, k = [], 0
     while (v := round(lo + k * step, 9)) <= hi + 1e-9:
         vals.append(v)

@@ -299,8 +299,8 @@ def _node_metrics(state: NodeState, warmup: float, horizon: float,
     overflow = estimate_overflow(state, created_mask)
     queue_len = time_average_in_system(state.arrive, state.depart, warmup, horizon)
 
-    per_cluster_counts = np.bincount(state.cluster[first:], minlength=n_clusters)
-    cluster_thr = {ci: float(c / window) for ci, c in enumerate(per_cluster_counts)}
+    idx = state.cluster[first:]
+    cluster_thr = {ci: float(np.count_nonzero(idx == ci) / window) for ci in range(n_clusters)}
     return NodeMetrics(
         mpd_s=mpd, throughput_pps=throughput, overflow_prob=overflow, mean_queue_len=queue_len,
         packets=int(created_mask.sum()), arrivals_total=n,
@@ -313,13 +313,14 @@ def _cluster_metrics(clusters, sink, node_metrics, warmup, horizon):
     e2e = sink.depart[:done][measured]
     e2e -= sink.created[:done][measured]
     idx = sink.cluster[:done][measured]
+    # bincount's sequential summation order sets the bits of the e2e sums; counts are exact
     sums = np.bincount(idx, weights=e2e, minlength=len(clusters))
-    counts = np.bincount(idx, minlength=len(clusters))
-    overall_n = int(counts.sum())
+    counts = [np.count_nonzero(idx == ci) for ci in range(len(clusters))]
+    overall_n = sum(counts)
     overall_e2e = float(sums.sum() / overall_n) if overall_n else 0.0
     per_cluster: dict[str, ClusterMetrics] = {}
     for ci, cluster in enumerate(clusters):
-        n = int(counts[ci])
+        n = counts[ci]
         per_cluster[cluster.cluster_id] = ClusterMetrics(
             e2e_delay_s=float(sums[ci] / n) if n else 0.0,
             throughput_pps=node_metrics[cluster.attach].cluster_throughput_pps[ci],
@@ -328,11 +329,17 @@ def _cluster_metrics(clusters, sink, node_metrics, warmup, horizon):
 
 
 def _merge_inputs(inputs: list[dict]) -> dict:
-    """Merge sorted input streams into one sorted stream: one stable sort
-    over the inputs in their given order, so on simultaneous events the
-    earlier input goes first.  Empty inputs are skipped; a single input is
-    returned as is.  Each key is popped from the inputs once gathered, so an
-    input array no one else holds is freed before the next key is built."""
+    """Merge sorted input streams into one sorted stream.  Empty inputs are
+    skipped; a single input is returned as is.
+
+    Inputs that carry only ``times`` (a cluster's source streams outside
+    trace mode) are concatenated and value-sorted in place: emission times
+    are finite, non-negative and never -0.0, so equal values have equal bits
+    and the result is the stable merge's, bit for bit.  Inputs with more keys
+    take one stable argsort over the inputs in their given order, so on
+    simultaneous events the earlier input goes first, and a gather per key;
+    each key is popped from the inputs once gathered, so an input array no
+    one else holds is freed before the next key is built."""
     if not inputs:
         return {"times": np.empty(0), "created": np.empty(0),
                 "cluster": np.empty(0, dtype=np.int16), "source": np.empty(0, dtype=np.int32),
@@ -340,6 +347,10 @@ def _merge_inputs(inputs: list[dict]) -> dict:
     inputs = [s for s in inputs if s["times"].size] or inputs[:1]
     if len(inputs) == 1:
         return inputs[0]
+    if inputs[0].keys() == {"times"}:
+        times = np.concatenate([s["times"] for s in inputs])
+        times.sort()
+        return {"times": times}
     order = np.argsort(np.concatenate([s["times"] for s in inputs]), kind="stable")
     return {key: np.concatenate([s.pop(key) for s in inputs])[order] for key in list(inputs[0])}
 

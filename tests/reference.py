@@ -8,6 +8,9 @@ oracle and the engine consume the identical randomness.
 
 ``fifo_closed_form`` and ``time_average_min_max`` are the one-shot array
 forms the engine's blocked and prefix-split versions must equal bit for bit.
+
+``stable_merge`` is the stable-argsort merge of sorted streams that the
+engine's value-sort merge of payload-free streams must equal bit for bit.
 """
 import heapq
 from collections import deque
@@ -68,3 +71,11 @@ def time_average_min_max(arrive, depart, lo, hi):
     overlap = np.minimum(depart, hi) - np.maximum(arrive, lo)
     np.clip(overlap, 0.0, None, out=overlap)
     return float(overlap.sum() / (hi - lo))
+
+
+def stable_merge(inputs):
+    """Merge sorted streams (dicts of equal-length arrays keyed by at least
+    ``times``) with one stable argsort over the concatenated times, so on
+    ties the earlier input goes first, and a gather of every key."""
+    order = np.argsort(np.concatenate([s["times"] for s in inputs]), kind="stable")
+    return {key: np.concatenate([s[key] for s in inputs])[order] for key in inputs[0]}

@@ -5,6 +5,7 @@ import math
 import statistics
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -396,6 +397,31 @@ def test_cli_bad_rho_sweep_exit_2(sweep, capsys):
     assert cli_main(["analytic", "blowup", "--n", "2", "--rho", "0.5",
                      "--rho-sweep", sweep]) == 2
     assert "rho" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["validate", "blowup"])
+def test_cli_refuses_an_oversized_grid_at_once(tmp_path, command):
+    # a positive but tiny step used to build ~1e12 points until killed
+    if command == "validate":
+        path = write_config(tmp_path, {**MINIMAL, "b": {"start": 0.1, "stop": 0.9,
+                                                        "step": 1e-12}})
+        args = ["validate", "--config", str(path)]
+    else:
+        args = ["analytic", "blowup", "--n", "2", "--rho", "0.5", "--rho-sweep", "0.1:0.9:1e-12"]
+    proc = subprocess.run([sys.executable, "-m", "wsnburst", *args],
+                          capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 2
+    assert f"more than {ex.MAX_GRID_POINTS} points" in proc.stderr
+    start = time.perf_counter()
+    assert cli_main(args) == 2
+    assert time.perf_counter() - start < 0.5
+
+
+def test_grid_bound_admits_a_grid_of_max_points():
+    step = 1.0 / ex.MAX_GRID_POINTS
+    assert len(ex._grid(0.0, 1.0 - step, step)) == ex.MAX_GRID_POINTS
+    with pytest.raises(ConfigError, match="more than"):
+        ex._grid(0.0, 1.0, step)
 
 
 def test_cli_simulate_writes_outputs(tmp_path, capsys):

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 import wsnburst as wb
 from wsnburst.dists import Deterministic
 from wsnburst.model import (EMISSION_CONST, EMISSION_POISSON, DeterministicLaw,
-                            DistKind, SourceParams, derive_source_params)
+                            DistKind, SourceParams, bulk_law_for, derive_source_params)
 from wsnburst.rng import derive_seed, substream
 import wsnburst.simcore as simcore
 from wsnburst.simcore import (_BLOCK, TRACE_COLUMNS, NodeState, RunConfig, estimate_overflow,
@@ -20,7 +20,7 @@ from wsnburst.simcore import (_BLOCK, TRACE_COLUMNS, NodeState, RunConfig, estim
                               source_emit, time_average_in_system, write_trace_csv)
 from wsnburst.topology import ClusterSpec, NodeSpec, TopologySpec
 
-from reference import fifo_closed_form, fifo_event_loop, time_average_min_max
+from reference import fifo_closed_form, fifo_event_loop, stable_merge, time_average_min_max
 
 EXP = DistKind.parse("exp")
 
@@ -103,7 +103,6 @@ def test_emission_burst_spacing_and_off_gap():
 
 
 def test_emission_times_strictly_increasing(rng):
-    from wsnburst.model import bulk_law_for
     for on in ("exp", "pareto", "tpt:10"):
         params = bursty_params(b=0.7, on=on)
         times = source_emit(params, bulk_law_for(params), substream(11), horizon=2000.0)
@@ -117,7 +116,6 @@ def test_emission_long_run_rate_matches_renewal_oracle(on, mode):
     # renewal-reward oracle: rate = n_p / (ON + OFF) = K.  A finite window
     # also carries the straddling cycle's front-loaded packets, an O(1)
     # surplus covered by the n_p/horizon slack term.
-    from wsnburst.model import bulk_law_for
     n_p = 20.0 if on == "pareto" else 10.0  # heavy-tail discretization needs n_p >> 1
     params = bursty_params(lam=5.0, n_p=n_p, b=0.6, on=on, mode=mode)
     horizon = 160_000.0
@@ -129,6 +127,21 @@ def test_emission_long_run_rate_matches_renewal_oracle(on, mode):
     rates = np.asarray(rates)
     se = rates.std(ddof=1) / math.sqrt(rates.size)
     assert abs(rates.mean() - params.K) <= 3.0 * se + 5.0 * params.n_p / horizon
+
+
+@settings(max_examples=40)
+@given(mode=st.sampled_from([EMISSION_CONST, EMISSION_POISSON]),
+       off=st.sampled_from(["exp", "pareto"]), n_p=st.sampled_from([1.0, 2.0, 50.0]),
+       b=st.sampled_from([0.0, 0.01, 0.3, 0.9, 0.99]), horizon=st.sampled_from([0.05, 2000.0]),
+       seed=st.integers(0, 2**32 - 1))
+def test_emission_times_are_finite_non_negative_and_sorted(mode, off, n_p, b, horizon, seed):
+    # the value-sort merge of source streams equals the stable merge only
+    # because equal emission times have equal bits: no NaN, no -0.0
+    params = bursty_params(n_p=n_p, b=b, off=off, mode=mode)
+    times = source_emit(params, bulk_law_for(params), substream(seed), horizon)
+    assert np.all(np.isfinite(times)) and np.all(times >= 0.0)
+    assert not np.any(np.signbit(times))
+    assert np.all(np.diff(times) >= 0.0)
 
 
 def test_emission_partial_burst_cut_at_horizon():
@@ -157,6 +170,34 @@ def test_empty_cluster_beside_a_live_one():
                           RunConfig(horizon_s=100.0, warmup_s=10.0), seed=1)
     assert res.per_cluster["cluster_1"].packets == 0
     assert res.per_cluster["cluster_2"].packets == res.overall_packets > 0
+
+
+@pytest.mark.parametrize("case", ["case3", "empty_clusters"])
+def test_cluster_counts_equal_bincount(case):
+    # per-node cluster throughputs and the sink's cluster packets are counts
+    # per cluster index; a source-less cluster must count 0, not vanish
+    if case == "case3":
+        topo, src = wb.build_case3(2, 50.0), bursty_params(n=2, b=0.9)
+    else:
+        topo = TopologySpec(nodes=(NodeSpec("sink", None, service_rate=100.0, threshold=10),),
+                            clusters=(ClusterSpec("cluster_1", 0, "sink", 0.0),
+                                      ClusterSpec("cluster_2", 2, "sink", 50.0),
+                                      ClusterSpec("cluster_3", 0, "sink", 0.0)))
+        src = bursty_params(n=2)
+    sources = {c.cluster_id: src for c in topo.clusters if c.n_sources}
+    config = RunConfig(horizon_s=600.0, warmup_s=60.0)
+    res = run_replication(topo, sources, config, seed=5)
+    k, window = len(topo.clusters), 540.0
+    for node_id, state in simulate(topo, sources, config, seed=5):
+        first = np.searchsorted(state.arrive, 60.0, "right")
+        counts = np.bincount(state.cluster[first:], minlength=k)
+        assert res.per_node[node_id].cluster_throughput_pps == {
+            ci: float(c / window) for ci, c in enumerate(counts)}
+    sink = state   # served last
+    done = np.searchsorted(sink.depart, 600.0, "right")
+    packets = np.bincount(sink.cluster[:done][sink.created[:done] > 60.0], minlength=k)
+    assert [res.per_cluster[c.cluster_id].packets for c in topo.clusters] == packets.tolist()
+    assert res.overall_packets == packets.sum() > 0
 
 
 def test_mm1_poisson_validation_mode_short():
@@ -249,6 +290,40 @@ def test_merge_ties_go_to_the_earlier_input():
     first = np.flatnonzero(st.arrive[1:] == st.arrive[:-1])
     assert first.size == 15_000
     assert np.all(st.source[first] == 0) and np.all(st.source[first + 1] == 1)
+
+
+def _tied_streams(seed, data):
+    """1-6 sorted time streams drawn from one small pool of values, so times
+    tie within and across inputs; some streams are empty, one may be long."""
+    pool = np.abs(data.draw(st.lists(st.floats(0.0, 1e6), min_size=1, max_size=12), label="pool"))
+    sizes = data.draw(st.lists(st.one_of(st.integers(0, 40), st.just(3000)),
+                               min_size=1, max_size=6), label="sizes")
+    rng = np.random.default_rng(seed)
+    return [{"times": np.sort(rng.choice(pool, size))} for size in sizes]
+
+
+@given(seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_value_sort_merge_equals_stable_merge(seed, data):
+    inputs = _tied_streams(seed, data)
+    expect = stable_merge(inputs)
+    got = simcore._merge_inputs([dict(s) for s in inputs])
+    assert got.keys() == {"times"}
+    assert np.array_equal(got["times"].view(np.int64), expect["times"].view(np.int64))
+
+
+@given(seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_multi_key_merge_puts_the_earlier_input_first_on_ties(seed, data):
+    # the relay-to-sink shape: each input carries created and cluster too
+    inputs = [{"times": s["times"], "created": s["times"] / 2.0,
+               "cluster": np.full(s["times"].size, ci, dtype=np.int16)}
+              for ci, s in enumerate(_tied_streams(seed, data))]
+    expect = stable_merge(inputs)
+    got = simcore._merge_inputs([dict(s) for s in inputs])
+    assert got.keys() == expect.keys()
+    for key in expect:
+        assert np.array_equal(got[key], expect[key]), key
+    tied = got["times"][1:] == got["times"][:-1]
+    assert np.all(got["cluster"][1:][tied] >= got["cluster"][:-1][tied])
 
 
 def test_fifo_order_preserved_in_replication():
