@@ -1,7 +1,7 @@
 """wsnburst: N-burst ON/OFF traffic modeling and sink queueing simulation.
 
-Closed-form results (burstiness, blow-up points, smooth/bulk delay
-limits) live in :mod:`wsnburst.model`; the deterministic simulator in
+Source parameters and closed-form results (blow-up points, smooth/bulk
+delay limits) live in :mod:`wsnburst.model`; the deterministic simulator in
 :mod:`wsnburst.simcore`; network shapes in :mod:`wsnburst.topology`;
 sweep orchestration and CSV output in :mod:`wsnburst.experiments`.
 """
@@ -13,7 +13,7 @@ from .dists import (Deterministic, DistributionSpec, Exponential, ParameterError
                     tpt_calibrate)
 from .model import (DeterministicLaw, DiscretizedLaw, DistKind,
                     GeometricLaw, SourceParams, blowup_points,
-                    bulk_factor, burstiness, derive_source_params, mpd_bulk_limit,
+                    bulk_factor, derive_source_params, mpd_bulk_limit,
                     mpd_smooth_limit)
 from .simcore import (ReplicationResult, RunConfig, estimate_overflow,
                       run_replication, source_emit)
@@ -27,7 +27,7 @@ __all__ = [
     "tpt_calibrate",
     "DeterministicLaw", "DiscretizedLaw", "DistKind",
     "GeometricLaw", "SourceParams", "blowup_points",
-    "bulk_factor", "burstiness", "derive_source_params", "mpd_bulk_limit",
+    "bulk_factor", "derive_source_params", "mpd_bulk_limit",
     "mpd_smooth_limit",
     "ReplicationResult", "RunConfig", "estimate_overflow", "run_replication",
     "source_emit",

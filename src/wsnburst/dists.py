@@ -19,7 +19,7 @@ as the survival probability: ``reliability(spec, sample(spec, u)) == u``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
@@ -140,9 +140,9 @@ def mean_of(spec: DistributionSpec) -> float:
 
 
 def sample(spec: DistributionSpec, rng: np.random.Generator) -> float:
-    """One inverse-transform draw.  The uniform is the survival probability,
-    so ``reliability(spec, sample(spec, rng))`` reproduces the drawn uniform
-    for the invertible laws."""
+    """One inverse-transform draw of an OFF-time law (exponential, Pareto or
+    a point).  The uniform is the survival probability, so
+    ``reliability(spec, sample(spec, rng))`` reproduces the drawn uniform."""
     if isinstance(spec, Deterministic):
         return spec.value  # consumes no randomness
     if isinstance(spec, Exponential):
@@ -150,21 +150,12 @@ def sample(spec: DistributionSpec, rng: np.random.Generator) -> float:
     if isinstance(spec, Pareto):
         u = open_uniform(rng)
         return spec.scale * (u ** (-1.0 / spec.alpha) - 1.0)
-    if isinstance(spec, TPT):
-        if spec.T == 1:
-            # single branch: bitwise-identical to Exponential(1/mu)
-            return -(1.0 / spec.mu) * math.log(open_uniform(rng))
-        cum = np.cumsum(spec.branch_weights())
-        j = int(np.searchsorted(cum, rng.random(), side="right"))
-        j = min(j, spec.T - 1)
-        scale = spec.lam**j / spec.mu
-        return -scale * math.log(open_uniform(rng))
-    raise ParameterError(f"unknown distribution spec: {spec!r}")
+    raise ParameterError(f"cannot draw one value of {spec!r}; use sample_array")
 
 
 def sample_array(spec: DistributionSpec, rng: np.random.Generator, n: int) -> np.ndarray:
-    """n inverse-transform draws; same transforms as ``sample`` (branch
-    uniform first for TPT, then magnitude)."""
+    """n inverse-transform draws; same transforms as ``sample``, and for TPT
+    the branch uniforms first, then the magnitudes."""
     if n < 0:
         raise ParameterError("n must be >= 0")
     if isinstance(spec, Deterministic):
@@ -200,26 +191,5 @@ def tpt_calibrate(theta: float, alpha: float, target_mean: float, T: int) -> TPT
         raise ParameterError(f"alpha must be > 1, got {alpha}")
     if not target_mean > 0.0:
         raise ParameterError(f"target_mean must be > 0, got {target_mean}")
-    if not (isinstance(T, int) and T >= 1):
-        raise ParameterError(f"T must be an integer >= 1, got {T}")
     lam = theta ** (-1.0 / alpha)
-    x = theta * lam
-    if abs(x - 1.0) < 1e-12:
-        geo = float(T)
-    else:
-        geo = (1.0 - x**T) / (1.0 - x)
-    mean_at_unit_mu = (1.0 - theta) / (1.0 - theta**T) * geo
-    return TPT(theta=theta, T=T, lam=lam, mu=mean_at_unit_mu / target_mean)
-
-
-def rescale(spec: DistributionSpec, new_mean: float) -> DistributionSpec:
-    """Same distribution shape, scaled so the mean equals ``new_mean``."""
-    if isinstance(spec, Exponential):
-        return Exponential(mean=new_mean)
-    if isinstance(spec, Pareto):
-        return Pareto(alpha=spec.alpha, mean=new_mean)
-    if isinstance(spec, Deterministic):
-        return Deterministic(value=new_mean)
-    if isinstance(spec, TPT):
-        return replace(spec, mu=spec.mu * mean_of(spec) / new_mean)
-    raise ParameterError(f"unknown distribution spec: {spec!r}")
+    return TPT(theta=theta, T=T, lam=lam, mu=mean_of(TPT(theta, T, lam, 1.0)) / target_mean)

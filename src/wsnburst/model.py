@@ -25,46 +25,55 @@ from .rng import open_uniform_array
 EMISSION_CONST = "const"      # packets evenly spaced 1/lambda_p within a burst
 EMISSION_POISSON = "poisson"  # packet gaps Exponential(1/lambda_p) within a burst
 
-_REL_TOL = 1e-9
 _PARETO_CUTOFF = 200_000   # Pareto burst-size terms summed before the integral tail
 
 
 @dataclass(frozen=True)
 class SourceParams:
-    """One ON/OFF source.  All fields are mutually constrained; use
-    ``derive_source_params`` to build a consistent record."""
+    """One ON/OFF source, given by its inputs: the mean rate K, the
+    burstiness b, the mean burst size n_p, the ON and OFF shapes and the
+    emission mode.  The peak rate and the ON and OFF means follow from them."""
 
     K: float                      # mean packet rate over ON+OFF (packets/s)
-    lambda_p: float               # peak rate during a burst (packets/s)
+    b: float                      # burstiness in [0,1), b = 1 - K/lambda_p
     n_p: float                    # mean packets per burst
-    b: float                      # burstiness in [0,1)
-    on_mean: float                # mean ON time, n_p/lambda_p (s)
-    off_mean: float               # mean OFF time (s)
-    on_dist: DistributionSpec     # ON-time law, mean on_mean
-    off_dist: DistributionSpec    # OFF-time law, mean off_mean
+    on_kind: DistKind             # ON-time shape, hence the burst-size law
+    off_kind: DistKind            # OFF-time shape: exp or pareto
     emission_mode: str = EMISSION_CONST
 
     def __post_init__(self):
         if not (0.0 <= self.b < 1.0):
             raise ParameterError(f"burstiness b must be in [0,1), got {self.b}")
-        if not (0.0 < self.K <= self.lambda_p):
-            raise ParameterError(f"need 0 < K <= lambda_p, got K={self.K}, lambda_p={self.lambda_p}")
-        if self.n_p < 1.0:
+        if not self.K > 0.0:
+            raise ParameterError(f"mean rate K must be > 0, got {self.K}")
+        if not math.isfinite(self.lambda_p):
+            raise ParameterError(f"peak rate overflows at K={self.K}, b={self.b}")
+        if not self.n_p >= 1.0:
             raise ParameterError(f"mean burst size n_p must be >= 1, got {self.n_p}")
         if self.emission_mode not in (EMISSION_CONST, EMISSION_POISSON):
             raise ParameterError(f"unknown emission mode {self.emission_mode!r}")
-        _check_close("b", self.b, 1.0 - self.K / self.lambda_p)
-        _check_close("on_mean", self.on_mean, self.n_p / self.lambda_p)
-        _check_close("off_mean", self.off_mean, self.on_mean * self.b / (1.0 - self.b))
-        _check_close("K", self.K, self.n_p / (self.on_mean + self.off_mean))
-        _check_close("mean_of(on_dist)", mean_of(self.on_dist), self.on_mean)
-        _check_close("mean_of(off_dist)", mean_of(self.off_dist), self.off_mean)
+        if self.off_kind.kind not in ("exp", "pareto"):
+            raise ParameterError(f"OFF kind must be exp or pareto, got {self.off_kind.label()}")
 
+    @property
+    def lambda_p(self) -> float:
+        """Peak rate during a burst (packets/s)."""
+        return self.K / (1.0 - self.b)
 
-def _check_close(name: str, actual: float, expected: float) -> None:
-    scale = max(abs(expected), 1.0)
-    if abs(actual - expected) > _REL_TOL * scale:
-        raise ParameterError(f"inconsistent SourceParams: {name}={actual!r}, expected {expected!r}")
+    @property
+    def on_mean(self) -> float:
+        """Mean ON time n_p/lambda_p (s)."""
+        return self.n_p / self.lambda_p
+
+    @property
+    def off_mean(self) -> float:
+        """Mean OFF time (s), so that OFF/(ON+OFF) = b."""
+        return self.on_mean * self.b / (1.0 - self.b)
+
+    @property
+    def off_dist(self) -> DistributionSpec:
+        """OFF-time law, mean off_mean (the point 0 when b = 0)."""
+        return self.off_kind.make(self.off_mean)
 
 
 @dataclass(frozen=True)
@@ -112,40 +121,18 @@ class DistKind:
         return tpt_calibrate(self.theta, self.alpha, mean, self.T)
 
 
-def burstiness(K: float, lambda_p: float) -> float:
-    """b = 1 - K/lambda_p, the fraction of a source's cycle spent OFF."""
-    if not 0.0 < K <= lambda_p:
-        raise ParameterError(f"need 0 < K <= lambda_p, got K={K}, lambda_p={lambda_p}")
-    return 1.0 - K / lambda_p
-
-
 def derive_source_params(lambda_total: float, N: int, n_p: float, b: float,
                          on_kind: DistKind, off_kind: DistKind,
                          emission_mode: str = EMISSION_CONST) -> SourceParams:
     """Per-source parameters for an N-source group with aggregate mean rate
-    ``lambda_total``: K = lambda_total/N and lambda_p = K/(1-b), so the
-    requested burstiness is met while the offered load stays fixed."""
+    ``lambda_total``: K = lambda_total/N, so the peak rate K/(1-b) meets the
+    requested burstiness while the offered load stays fixed."""
     if not lambda_total > 0.0:
         raise ParameterError(f"lambda_total must be > 0, got {lambda_total}")
     if N < 1:
         raise ParameterError(f"N must be >= 1, got {N}")
-    if not (0.0 <= b < 1.0):
-        raise ParameterError(f"burstiness b must be in [0,1), got {b}")
-    if n_p < 1.0:
-        raise ParameterError(f"n_p must be >= 1, got {n_p}")
-    K = lambda_total / N
-    lambda_p = K / (1.0 - b)
-    if not math.isfinite(lambda_p):
-        raise ParameterError(f"peak rate overflows at b={b}")
-    on_mean = n_p / lambda_p
-    off_mean = on_mean * b / (1.0 - b)
-    return SourceParams(
-        K=K, lambda_p=lambda_p, n_p=n_p, b=b,
-        on_mean=on_mean, off_mean=off_mean,
-        on_dist=on_kind.make(on_mean),
-        off_dist=off_kind.make(off_mean) if off_mean > 0.0 else Deterministic(0.0),
-        emission_mode=emission_mode,
-    )
+    return SourceParams(K=lambda_total / N, b=b, n_p=n_p, on_kind=on_kind,
+                        off_kind=off_kind, emission_mode=emission_mode)
 
 
 def blowup_points(N: int, rho: float) -> list[float]:
@@ -281,13 +268,11 @@ def _discretized_moments(dist: DistributionSpec) -> tuple[float, float]:
 
 
 def bulk_law_for(params: SourceParams) -> BulkSizeLaw:
-    """Burst-size law implied by a source's ON-time distribution: the count
-    law has the same shape as the ON time, scaled to mean n_p packets."""
-    if isinstance(params.on_dist, Exponential):
+    """Burst-size law in packets: the ON shape at mean n_p.  Exponential ON
+    times give the geometric law."""
+    if params.on_kind.kind == "exp":
         return GeometricLaw(mean=params.n_p)
-    if isinstance(params.on_dist, Deterministic):
-        return DeterministicLaw(packets=int(round(params.n_p)))
-    return DiscretizedLaw(dist=dists.rescale(params.on_dist, params.n_p))
+    return DiscretizedLaw(dist=params.on_kind.make(params.n_p))
 
 
 def bulk_factor(law: BulkSizeLaw) -> float:

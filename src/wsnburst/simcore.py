@@ -120,14 +120,15 @@ def source_emit(params: SourceParams, law: BulkSizeLaw, rng: np.random.Generator
     cap = int(span + 6.0 * math.sqrt(span) + 64.0)
     cycle = params.on_mean + params.off_mean
     poisson = params.emission_mode == EMISSION_POISSON
+    off_dist = params.off_dist
 
     chunks: list[np.ndarray] = []
-    t = float(sample(params.off_dist, rng))
+    t = float(sample(off_dist, rng))
     while t < horizon:
         want = int((horizon - t) / cycle * 1.25) + 16
         sizes = law.sample_array(rng, want)
         np.minimum(sizes, cap, out=sizes)
-        offs = sample_array(params.off_dist, rng, want)
+        offs = sample_array(off_dist, rng, want)
         # per-packet increments; a burst's first packet also absorbs the OFF
         # period that precedes it (a burst occupies one slot/gap per packet,
         # so the long-run rate is exactly K)

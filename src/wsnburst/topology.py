@@ -46,12 +46,6 @@ class TopologySpec:
     nodes: tuple[NodeSpec, ...]   # serving order: each queue before its parent, the sink last
     clusters: tuple[ClusterSpec, ...]
 
-    def node(self, node_id: str) -> NodeSpec:
-        for n in self.nodes:
-            if n.node_id == node_id:
-                return n
-        raise KeyError(node_id)
-
     @property
     def sink_id(self) -> str:
         return self.nodes[-1].node_id

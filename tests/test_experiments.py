@@ -452,8 +452,9 @@ def test_config_sink_service_rate_override():
             "on_kind": "exp"}
     cfg = config_from_dict({**base, "sink_service_rate": 120.0})
     topo = ex.build_topology(cfg, 1)
-    assert topo.node("sink").service_rate == 120.0
-    assert topo.node("relay_1").service_rate == 100.0  # relays keep lambda/rho
+    nodes = {n.node_id: n for n in topo.nodes}
+    assert nodes["sink"].service_rate == 120.0
+    assert nodes["relay_1"].service_rate == 100.0  # relays keep lambda/rho
     with pytest.raises(ConfigError, match="sink_service_rate"):
         config_from_dict({**MINIMAL, "sink_service_rate": 120.0})
     with pytest.raises(ConfigError, match="sink_service_rate"):

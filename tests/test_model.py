@@ -3,15 +3,17 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 from scipy.special import zeta
 
 from wsnburst.dists import (Deterministic, Exponential, ParameterError, Pareto, mean_of,
                             reliability, tpt_calibrate)
 from wsnburst.model import (DeterministicLaw, DiscretizedLaw, DistKind, GeometricLaw,
                             SourceParams, blowup_points, bulk_factor,
-                            bulk_law_for, burstiness, derive_source_params,
+                            bulk_law_for, derive_source_params,
                             mpd_bulk_limit, mpd_smooth_limit)
+
+EXP = DistKind.parse("exp")
 
 
 def brute_force_geometric_bulk_factor(m: float) -> float:
@@ -36,14 +38,16 @@ def brute_force_geometric_bulk_factor(m: float) -> float:
     (10.0, 200.0, 0.95),
 ])
 def test_burstiness(K, lam_p, expected):
-    assert burstiness(K, lam_p) == pytest.approx(expected, abs=1e-12)
+    # b = 1 - K/lambda_p: a source given K and b bursts at lambda_p
+    p = SourceParams(K=K, b=expected, n_p=5.0, on_kind=EXP, off_kind=EXP)
+    assert p.lambda_p == pytest.approx(lam_p, rel=1e-12)
+    assert 1.0 - p.K / p.lambda_p == pytest.approx(expected, abs=1e-12)
 
 
 def test_burstiness_domain_error():
+    # a mean rate above the peak rate is a negative burstiness
     with pytest.raises(ParameterError):
-        burstiness(30.0, 20.0)
-    with pytest.raises(ParameterError):
-        burstiness(0.0, 20.0)
+        SourceParams(K=30.0, b=1.0 - 30.0 / 20.0, n_p=5.0, on_kind=EXP, off_kind=EXP)
 
 
 def test_blowup_points_known_values():
@@ -202,19 +206,18 @@ def test_derive_source_params_domain_errors():
        lam=st.floats(0.1, 500.0), n_p=st.floats(1.0, 200.0))
 def test_derive_source_params_burstiness_round_trip(b, n, lam, n_p):
     p = derive_source_params(lam, n, n_p, b, DistKind.parse("exp"), DistKind.parse("exp"))
-    assert abs(burstiness(p.K, p.lambda_p) - b) < 1e-12
+    assert abs((1.0 - p.K / p.lambda_p) - b) < 1e-12
 
 
-def test_source_params_invariants_enforced():
+@pytest.mark.parametrize("field, value", [
+    ("b", 1.0), ("K", 0.0), ("n_p", 0.5), ("emission_mode", "burst"),
+    ("off_kind", DistKind.parse("tpt:5")),
+], ids=["b=1", "K=0", "n_p<1", "unknown-mode", "tpt-off"])
+def test_source_params_refuses_bad_input(field, value):
+    good = dict(K=50.0, b=0.5, n_p=50.0, on_kind=EXP, off_kind=EXP)
+    SourceParams(**good)
     with pytest.raises(ParameterError):
-        SourceParams(K=50.0, lambda_p=100.0, n_p=50.0, b=0.4,  # b inconsistent
-                     on_mean=0.5, off_mean=0.5,
-                     on_dist=Exponential(0.5), off_dist=Exponential(0.5))
-    with pytest.raises(ParameterError):
-        SourceParams(K=50.0, lambda_p=100.0, n_p=50.0, b=0.5,
-                     on_mean=0.5, off_mean=0.5,
-                     on_dist=Exponential(0.7),  # wrong ON mean
-                     off_dist=Exponential(0.5))
+        SourceParams(**{**good, field: value})
 
 
 def test_dist_kind_parsing():
@@ -276,3 +279,15 @@ def test_bulk_law_for_maps_on_shape():
     assert isinstance(law, DiscretizedLaw)
     assert law.moments()[0] == pytest.approx(50.0, rel=0.01)
     assert isinstance(law.dist, Pareto)
+
+
+@settings(max_examples=60)
+@given(lam=st.floats(0.1, 500.0), n=st.integers(1, 10), b=st.floats(0.0, 0.99),
+       n_p=st.floats(20.0, 200.0), on=st.sampled_from(["exp", "pareto", "tpt:10", "tpt:30"]))
+def test_bulk_law_depends_only_on_on_shape_and_n_p(lam, n, b, n_p, on):
+    # the burst-size law is set in packets: the rates and b must not reach it
+    kind = DistKind.parse(on)
+    law = bulk_law_for(derive_source_params(lam, n, n_p, b, kind, EXP))
+    assert law == bulk_law_for(derive_source_params(50.0, 1, n_p, 0.5, kind, EXP))
+    if kind.kind == "tpt":
+        assert law.dist == tpt_calibrate(0.5, 1.4, n_p, kind.T)

@@ -3,6 +3,7 @@ replication metrics, determinism, conservation, traces, memory."""
 import gc
 import math
 import tracemalloc
+import types
 import weakref
 
 import numpy as np
@@ -12,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 import wsnburst as wb
 from wsnburst.dists import Deterministic
 from wsnburst.model import (EMISSION_CONST, EMISSION_POISSON, DeterministicLaw,
-                            DistKind, SourceParams, bulk_law_for, derive_source_params)
+                            DistKind, bulk_law_for, derive_source_params)
 from wsnburst.rng import derive_seed, substream
 import wsnburst.simcore as simcore
 from wsnburst.simcore import (_BLOCK, TRACE_COLUMNS, NodeState, RunConfig, estimate_overflow,
@@ -93,11 +94,9 @@ def test_emission_b0_constant_rate_is_periodic():
 def test_emission_burst_spacing_and_off_gap():
     # deterministic 1.0 s OFF, 3-packet bursts at peak rate 100/s:
     # bursts at 1.00/1.01/1.02, then 2.03/2.04/2.05, ...
-    on_mean, off_mean = 0.03, 1.0
-    K = 3.0 / (on_mean + off_mean)
-    params = SourceParams(K=K, lambda_p=100.0, n_p=3.0, b=off_mean / (on_mean + off_mean),
-                          on_mean=on_mean, off_mean=off_mean,
-                          on_dist=Deterministic(on_mean), off_dist=Deterministic(off_mean))
+    # (a point OFF law is no SourceParams OFF kind, so a fake stands in)
+    params = types.SimpleNamespace(lambda_p=100.0, on_mean=0.03, off_mean=1.0,
+                                   off_dist=Deterministic(1.0), emission_mode=EMISSION_CONST)
     times = source_emit(params, DeterministicLaw(3), substream(1), horizon=3.0)
     np.testing.assert_allclose(times, [1.00, 1.01, 1.02, 2.03, 2.04, 2.05], atol=1e-9)
 

@@ -12,7 +12,7 @@ def test_build_star_depth_and_utilization():
     assert validate_topology(topo) == []
     assert [n.node_id for n in topo.nodes] == ["sink"] and topo.sink_id == "sink"
     assert topo.clusters_at("sink") == list(topo.clusters)
-    sink = topo.node("sink")
+    sink = topo.nodes[-1]
     assert topo.offered_load("sink") / sink.service_rate == pytest.approx(0.5)
 
 
@@ -41,12 +41,13 @@ def test_build_star_refuses_bad_sink():
 def test_build_case2_rates_and_depth():
     topo = build_case2(1, 50.0, 0.5)
     assert validate_topology(topo) == []
-    assert topo.node("relay_1").service_rate == pytest.approx(100.0)
-    assert topo.node("relay_2").service_rate == pytest.approx(100.0)
-    assert topo.node("sink").service_rate == pytest.approx(200.0)
+    nodes = {n.node_id: n for n in topo.nodes}
+    assert nodes["relay_1"].service_rate == pytest.approx(100.0)
+    assert nodes["relay_2"].service_rate == pytest.approx(100.0)
+    assert nodes["sink"].service_rate == pytest.approx(200.0)
     # utilization identity rho = load/v holds exactly at every server
     for node_id in ("relay_1", "relay_2", "sink"):
-        v = topo.node(node_id).service_rate
+        v = nodes[node_id].service_rate
         assert topo.offered_load(node_id) == 0.5 * v
 
 
@@ -61,20 +62,21 @@ def test_build_case2_any_n_keeps_depth():
 
 def test_build_case2_sink_override():
     topo = build_case2(1, 50.0, 0.5, sink_service_rate=100.0)
-    assert topo.node("sink").service_rate == 100.0
+    assert topo.nodes[-1].service_rate == 100.0
 
 
 def test_build_case3_rates_and_paths():
     topo = build_case3(1, 50.0, 0.5)
     assert validate_topology(topo) == []
-    assert topo.node("sink").service_rate == pytest.approx(300.0)
+    nodes = {n.node_id: n for n in topo.nodes}
+    assert nodes["sink"].service_rate == pytest.approx(300.0)
     # direct cluster: one queue hop; relayed clusters: two
     assert [c.cluster_id for c in topo.clusters_at("sink")] == ["cluster_3"]
     assert [c.cluster_id for c in topo.clusters_at("relay_1")] == ["cluster_1"]
     assert topo.children_of("sink") == ["relay_1", "relay_2"]
     assert topo.offered_load("sink") == pytest.approx(150.0)
     for node_id in ("relay_1", "relay_2", "sink"):
-        v = topo.node(node_id).service_rate
+        v = nodes[node_id].service_rate
         assert topo.offered_load(node_id) == 0.5 * v
 
 
