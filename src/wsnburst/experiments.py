@@ -18,7 +18,7 @@ import math
 import operator
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Optional
 
@@ -27,15 +27,15 @@ import numpy as np
 from . import __version__
 from .dists import ParameterError
 from .model import (DistKind, DeterministicLaw, GeometricLaw, SourceParams,
-                    bulk_factor, blowup_points, derive_source_params, mpd_bulk_limit,
-                    mpd_smooth_limit)
+                    bulk_factor, bulk_law_for, blowup_points, derive_source_params,
+                    mpd_bulk_limit, mpd_smooth_limit)
 from .rng import derive_seed
 from .simcore import ReplicationResult, RunConfig, run_replication, write_trace_csv
 from .topology import TopologySpec, build_case2, build_case3, build_star
 
 log = logging.getLogger(__name__)
 
-MAX_GRID_POINTS = 10_000   # b or rho values in one sweep; a finer step is a typo
+MAX_GRID_POINTS = 10_000   # b or rho values in one sweep, rows of one blowup table
 
 
 class ConfigError(ValueError):
@@ -86,13 +86,13 @@ _KIND_NAMES = {int: "an integer", float: "a finite number", str: "a string",
 
 @dataclass(frozen=True)
 class SimConfig:
+    """A checked sweep config; ``raw`` is the JSON object it was built from."""
+
     case: int
     n_list: tuple[int, ...]
-    b_start: float
-    b_stop: float
-    b_step: float
-    on_kind: str
-    off_kind: str
+    b_values: tuple[float, ...]
+    on: DistKind
+    off: DistKind
     n_p: float
     lambda_total: float
     rho: float
@@ -103,20 +103,9 @@ class SimConfig:
     seed: int
     out_dir: str
     emission_mode: str
-    alpha: float
-    theta: float
     trace: bool
     sink_service_rate: Optional[float]
     raw: dict = field(default_factory=dict, compare=False)
-
-    def b_values(self) -> list[float]:
-        return _grid(self.b_start, self.b_stop, self.b_step)
-
-    def on(self) -> DistKind:
-        return DistKind.parse(self.on_kind, alpha=self.alpha, theta=self.theta)
-
-    def off(self) -> DistKind:
-        return DistKind.parse(self.off_kind, alpha=self.alpha, theta=self.theta)
 
 
 def _grid(lo: float, hi: float, step: float) -> list[float]:
@@ -158,6 +147,7 @@ def config_from_dict(raw: dict) -> SimConfig:
     grid = _check_fields(got.pop("b"), _GRID, "b.")
     if not grid["start"] <= grid["stop"]:
         raise ConfigError(f"field 'b': need start <= stop, got {grid['start']}..{grid['stop']}")
+    b_values = tuple(_grid(grid["start"], grid["stop"], grid["step"]))
     v = got.pop("v")
     if v is not None:
         if "rho" in raw:
@@ -169,26 +159,31 @@ def config_from_dict(raw: dict) -> SimConfig:
     if got["case"] == 1 and got["sink_service_rate"] is not None:
         raise ConfigError("field 'sink_service_rate' applies to cases 2 and 3 "
                           "(case 1 sets the sink via 'rho' or 'v')")
+    shape = dict(alpha=got.pop("alpha"), theta=got.pop("theta"))
     try:
-        DistKind.parse(got["on_kind"], alpha=got["alpha"], theta=got["theta"])
+        on = DistKind.parse(got.pop("on_kind"), **shape)
     except (ParameterError, ValueError) as exc:
         raise ConfigError(f"field 'on_kind': {exc}") from None
-    return SimConfig(n_list=n_list, b_start=grid["start"], b_stop=grid["stop"],
-                     b_step=grid["step"], raw=dict(raw), **got)
+    try:   # the burst-size law depends on these two alone; a run would refuse it too
+        bulk_law_for(on, got["n_p"])
+    except ParameterError as exc:
+        raise ConfigError(f"fields 'on_kind'={on.label()!r}, 'n_p'={got['n_p']}: {exc}") from None
+    return SimConfig(n_list=n_list, b_values=b_values, on=on,
+                     off=DistKind.parse(got.pop("off_kind"), **shape), raw=dict(raw), **got)
 
 
-def _check_fields(raw: dict, fields: dict, prefix: str = "") -> dict:
-    """Each key of ``fields`` with its checked value from ``raw``, or its
-    default; refuses keys that ``fields`` lacks and keys it requires."""
-    unknown = sorted(prefix + key for key in set(raw) - set(fields))
+def _check_fields(raw: dict, table: dict, prefix: str = "") -> dict:
+    """Each key of ``table`` with its checked value from ``raw``, or its
+    default; refuses keys that ``table`` lacks and keys it requires."""
+    unknown = sorted(prefix + key for key in set(raw) - set(table))
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
-    missing = [prefix + key for key, spec in fields.items()
+    missing = [prefix + key for key, spec in table.items()
                if spec.default is ... and key not in raw]
     if missing:
         raise ConfigError(f"missing required config keys: {', '.join(missing)}")
     return {key: _checked(prefix + key, raw[key], spec) if key in raw else spec.default
-            for key, spec in fields.items()}
+            for key, spec in table.items()}
 
 
 def _checked(name: str, value, spec: _Field):
@@ -216,15 +211,14 @@ def build_topology(config: SimConfig, n: int) -> TopologySpec:
                        sink_service_rate=config.sink_service_rate)
 
 
-RESULT_COLUMNS = ["case", "N", "b", "on_kind", "T", "off_kind", "day", "entity",
-                  "mpd_s", "e2e_delay_s", "throughput_pps", "overflow_prob",
-                  "mean_queue_len", "packets", "saturated", "seed", "status"]
 SUMMARY_METRICS = ["mpd_s", "e2e_delay_s", "throughput_pps", "overflow_prob",
                    "mean_queue_len", "packets"]
 
 
 @dataclass
 class SweepRow:
+    """One results.csv row; the fields are the columns, in order."""
+
     case: int
     N: int
     b: float
@@ -244,14 +238,17 @@ class SweepRow:
     status: str = "ok"
 
     def as_csv(self) -> list[str]:
-        return [str(self.case), str(self.N), fmt9(self.b),
-                self.on_kind.split(":")[0], str(self.T), self.off_kind,
-                str(self.day), self.entity,
-                fmt9(self.mpd_s), fmt9(self.e2e_delay_s), fmt9(self.throughput_pps),
-                fmt9(self.overflow_prob), fmt9(self.mean_queue_len),
-                "" if self.packets is None else str(self.packets),
-                "" if self.saturated is None else ("1" if self.saturated else "0"),
-                str(self.seed), self.status]
+        return [_cell(getattr(self, name)) for name in RESULT_COLUMNS]
+
+
+RESULT_COLUMNS = [f.name for f in fields(SweepRow)]
+
+
+def _cell(value) -> str:
+    """A results.csv cell: empty for None, 1/0 for a bool, 9 digits for a float."""
+    if isinstance(value, bool):
+        return "1" if value else "0"
+    return fmt9(value) if value is None or isinstance(value, float) else str(value)
 
 
 def fmt9(x: Optional[float]) -> str:
@@ -278,9 +275,8 @@ def row_seed(master: int, case: int, n: int, b: float, day: int) -> int:
 def cluster_sources(config: SimConfig, topo: TopologySpec,
                     b: float) -> dict[str, SourceParams]:
     """Per-source parameters of every cluster of ``topo`` at burstiness b."""
-    on_kind, off_kind = config.on(), config.off()
     return {c.cluster_id: derive_source_params(
-                c.arrival_rate, c.n_sources, config.n_p, b, on_kind, off_kind,
+                c.arrival_rate, c.n_sources, config.n_p, b, config.on, config.off,
                 emission_mode=config.emission_mode)
             for c in topo.clusters}
 
@@ -288,8 +284,8 @@ def cluster_sources(config: SimConfig, topo: TopologySpec,
 def run_point(config: SimConfig, n: int, b: float, day: int) -> list[SweepRow]:
     """One replication of one sweep point, expanded to its entity rows."""
     seed = row_seed(config.seed, config.case, n, b, day)
-    base = dict(case=config.case, N=n, b=b, on_kind=config.on().label(),
-                T=config.on().T or 1, off_kind=config.off_kind, day=day, seed=seed)
+    base = dict(case=config.case, N=n, b=b, on_kind=config.on.kind,
+                T=config.on.T or 1, off_kind=config.off.kind, day=day, seed=seed)
     try:
         topo = build_topology(config, n)
         sources = cluster_sources(config, topo, b)
@@ -339,28 +335,22 @@ class SweepOutput:
     plot_files: list[Path]
 
 
-def run_sweep(config: SimConfig, out_dir=None, seed: Optional[int] = None,
-              days: Optional[int] = None, parallel: int = 1) -> SweepOutput:
-    """Run the full sweep and write all output files under ``out_dir``."""
-    if seed is not None or days is not None or out_dir is not None:
-        updates = dict(config.raw)
-        if seed is not None:
-            updates["seed"] = int(seed)
-        if days is not None:
-            updates["days"] = int(days)
-        if out_dir is not None:
-            updates["out_dir"] = str(out_dir)
-        config = config_from_dict(updates)
+def run_sweep(config: SimConfig, parallel: int = 1) -> SweepOutput:
+    """Run the full sweep and write all output files under ``config.out_dir``,
+    with up to ``parallel`` worker processes (never more than the sweep has points)."""
+    if parallel < 1:
+        raise ConfigError(f"parallel must be >= 1, got {parallel}")
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    tasks = [(n, b, day) for n in config.n_list
-             for b in config.b_values() for day in range(config.days)]
-    if parallel > 1:
-        with ProcessPoolExecutor(max_workers=parallel) as pool:
-            chunks = list(pool.map(_run_point_star, [(config, *t) for t in tasks]))
+    tasks = [(config, n, b, day) for n in config.n_list
+             for b in config.b_values for day in range(config.days)]
+    workers = min(parallel, len(tasks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            chunks = list(pool.map(run_point, *zip(*tasks)))
     else:
-        chunks = [run_point(config, *t) for t in tasks]
+        chunks = [run_point(*task) for task in tasks]
     rows = [row for chunk in chunks for row in chunk]
 
     results_csv = out / "results.csv"
@@ -376,10 +366,6 @@ def run_sweep(config: SimConfig, out_dir=None, seed: Optional[int] = None,
     _write_manifest(config, manifest)
     return SweepOutput(rows=rows, results_csv=results_csv, summary_csv=summary_csv,
                        manifest=manifest, plot_files=plot_files)
-
-
-def _run_point_star(args):
-    return run_point(*args)
 
 
 def write_csv(path, header, rows) -> None:
@@ -513,11 +499,15 @@ def emit_plotdata(summary_rows: list[dict], plot_dir) -> list[Path]:
 def blowup_table(n: int, rho: float,
                  rho_sweep: Optional[tuple[float, float, float]] = None) -> list[dict]:
     """Blow-up point locations; with ``rho_sweep`` the table covers the
-    utilization sensitivity (a, b, step)."""
+    utilization sensitivity (a, b, step).  Refuses a table of more than
+    MAX_GRID_POINTS rows before computing any of them."""
     if rho_sweep is not None and not (all(map(math.isfinite, rho_sweep))
                                       and rho_sweep[0] <= rho_sweep[1] and rho_sweep[2] > 0.0):
         raise ParameterError(f"rho sweep needs finite a <= b and step > 0, got {rho_sweep}")
     rhos = [rho] if rho_sweep is None else _grid(*rho_sweep)
+    if n * len(rhos) > MAX_GRID_POINTS:
+        raise ParameterError(f"blowup table of N={n} x {len(rhos)} rho values has more "
+                             f"than {MAX_GRID_POINTS} rows")
     out = []
     for r in rhos:
         for i, b in enumerate(blowup_points(n, r), start=1):

@@ -11,6 +11,7 @@ peak-rate combinatorics first saturate the server.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Optional, Union
@@ -267,12 +268,14 @@ def _discretized_moments(dist: DistributionSpec) -> tuple[float, float]:
     return 1.0 + float(w @ (head / gap)), 1.0 + float(w @ (head * (1.0 + gap) / gap**2))
 
 
-def bulk_law_for(params: SourceParams) -> BulkSizeLaw:
+@functools.cache
+def bulk_law_for(on_kind: DistKind, n_p: float) -> BulkSizeLaw:
     """Burst-size law in packets: the ON shape at mean n_p.  Exponential ON
-    times give the geometric law."""
-    if params.on_kind.kind == "exp":
-        return GeometricLaw(mean=params.n_p)
-    return DiscretizedLaw(dist=params.on_kind.make(params.n_p))
+    times give the geometric law.  Laws are immutable, so each (shape, n_p)
+    pair is built once per process."""
+    if on_kind.kind == "exp":
+        return GeometricLaw(mean=n_p)
+    return DiscretizedLaw(dist=on_kind.make(n_p))
 
 
 def bulk_factor(law: BulkSizeLaw) -> float:

@@ -223,7 +223,7 @@ def simulate(topo: TopologySpec, sources: Mapping[str, SourceParams],
     def emitted(ci: int, cluster) -> dict:
         # each source has its own substream, so emitting on demand keeps the bytes
         params = sources[cluster.cluster_id] if cluster.n_sources else None
-        law = bulk_law_for(params) if params is not None else None
+        law = bulk_law_for(params.on_kind, params.n_p) if params is not None else None
         streams = []
         for si in range(cluster.n_sources):
             rng = substream(derive_seed(seed, _SRC_TAG, ci, si))

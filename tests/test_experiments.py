@@ -38,14 +38,15 @@ def write_config(tmp_path, payload, name="cfg.json"):
 
 def test_minimal_config_defaults(tmp_path):
     cfg = load_config(write_config(tmp_path, MINIMAL))
-    assert (cfg.off_kind, cfg.n_p, cfg.lambda_total, cfg.rho) == ("exp", 50.0, 50.0, 0.5)
+    assert (cfg.off.kind, cfg.n_p, cfg.lambda_total, cfg.rho) == ("exp", 50.0, 50.0, 0.5)
     assert (cfg.B, cfg.horizon_s, cfg.warmup_s, cfg.days) == (1000, 90_000.0, 3_600.0, 10)
     assert (cfg.seed, cfg.out_dir, cfg.emission_mode) == (1729, "results", "const")
-    assert (cfg.alpha, cfg.theta, cfg.trace, cfg.sink_service_rate) == (1.4, 0.5, False, None)
+    assert (cfg.on.alpha, cfg.on.theta, cfg.trace, cfg.sink_service_rate) == \
+        (1.4, 0.5, False, None)
     assert all(type(x) is float for x in (cfg.n_p, cfg.lambda_total, cfg.rho, cfg.horizon_s,
-                                          cfg.warmup_s, cfg.alpha, cfg.theta))
-    assert len(cfg.b_values()) == 19
-    assert cfg.b_values()[0] == 0.05 and cfg.b_values()[-1] == 0.95
+                                          cfg.warmup_s, cfg.on.alpha, cfg.on.theta))
+    assert len(cfg.b_values) == 19
+    assert cfg.b_values[0] == 0.05 and cfg.b_values[-1] == 0.95
 
 
 def test_config_parse_error_reports_position(tmp_path):
@@ -108,8 +109,8 @@ def test_config_v_gives_rho():
 
 def test_config_tpt_on_kind_carries_T():
     cfg = config_from_dict({**MINIMAL, "on_kind": "tpt:30"})
-    assert cfg.on().T == 30
-    assert cfg.on().label() == "tpt:30"
+    assert cfg.on.T == 30
+    assert cfg.on.label() == "tpt:30"
 
 
 # ----------------------------------------------------------------- run_sweep
@@ -166,8 +167,7 @@ def test_sweep_results_csv_is_byte_deterministic(tmp_path):
 
 def test_sweep_seed_override_changes_rows(tmp_path):
     base = run_sweep(config_from_dict({**FAST, "out_dir": str(tmp_path / "a")}))
-    other = run_sweep(config_from_dict({**FAST, "out_dir": str(tmp_path / "b")}),
-                      seed=99)
+    other = run_sweep(config_from_dict({**FAST, "seed": 99, "out_dir": str(tmp_path / "b")}))
     assert base.rows[0].seed != other.rows[0].seed
     assert base.rows[0].mpd_s != other.rows[0].mpd_s
 
@@ -223,6 +223,19 @@ def test_parallel_sweep_matches_serial(tmp_path):
     assert len(serial.rows) == 4
     assert parallel.results_csv.read_bytes() == serial.results_csv.read_bytes()
     assert parallel.summary_csv.read_bytes() == serial.summary_csv.read_bytes()
+
+
+def test_error_row_leaves_every_metric_cell_empty():
+    row = ex.SweepRow(case=2, N=3, b=0.25, on_kind="tpt", T=30, off_kind="pareto", day=4,
+                      entity="sink", mpd_s=None, e2e_delay_s=None, throughput_pps=None,
+                      overflow_prob=None, mean_queue_len=None, packets=None, saturated=None,
+                      seed=12345, status="error: engine exploded")
+    cells = dict(zip(ex.RESULT_COLUMNS, row.as_csv()))
+    assert cells == {"case": "2", "N": "3", "b": "0.250000000", "on_kind": "tpt", "T": "30",
+                     "off_kind": "pareto", "day": "4", "entity": "sink", "mpd_s": "",
+                     "e2e_delay_s": "", "throughput_pps": "", "overflow_prob": "",
+                     "mean_queue_len": "", "packets": "", "saturated": "", "seed": "12345",
+                     "status": "error: engine exploded"}
 
 
 def test_run_point_failure_recorded_not_raised(monkeypatch):
@@ -362,11 +375,19 @@ def test_cli_validate_bad_config_exit_2(tmp_path, capsys):
 
 
 def test_cli_validate_refuses_what_simulate_refuses(tmp_path, capsys):
-    # tpt:10 cannot be discretized to a 5-packet mean burst within 1%
-    path = write_config(tmp_path, {**FAST, "case": 2, "on_kind": "tpt:10", "n_p": 5})
-    assert cli_main(["validate", "--config", str(path)]) == 2
-    assert "N=1, b=0.500000000: discretized burst-size mean" in capsys.readouterr().err
-    assert cli_main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")]) == 3
+    # neither tpt:10 nor pareto discretizes to a small mean burst within 1%:
+    # a configuration error, refused before anything is written
+    for on_kind, n_p in (("tpt:10", 5), ("pareto", 8)):
+        path = write_config(tmp_path, {**FAST, "case": 2, "N": [1, 2], "days": 2,
+                                       "on_kind": on_kind, "n_p": n_p})
+        assert cli_main(["validate", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("discretized burst-size mean") == 1, err
+        assert f"'on_kind'={on_kind!r}, 'n_p'={float(n_p)}" in err
+        out = tmp_path / on_kind.replace(":", "")
+        assert cli_main(["simulate", "--config", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.count("discretized burst-size mean") == 1
+        assert not (out / "results.csv").exists()
 
 
 def test_cli_validate_shipped_configs(tmp_path):
@@ -417,11 +438,78 @@ def test_cli_refuses_an_oversized_grid_at_once(tmp_path, command):
     assert time.perf_counter() - start < 0.5
 
 
+def test_cli_refuses_an_oversized_blowup_table_at_once(capsys):
+    # N x len(rho grid) rows; N = 1e8 would build a 1e8-element list
+    start = time.perf_counter()
+    assert cli_main(["analytic", "blowup", "--n", str(ex.MAX_GRID_POINTS + 1),
+                     "--rho", "0.5"]) == 2
+    assert time.perf_counter() - start < 0.5
+    assert f"more than {ex.MAX_GRID_POINTS} rows" in capsys.readouterr().err
+    # a table of exactly MAX_GRID_POINTS rows still prints
+    assert cli_main(["analytic", "blowup", "--n", "1", "--rho", "0.5",
+                     "--rho-sweep", "0.00005:0.99995:0.0001"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 1 + ex.MAX_GRID_POINTS
+
+
 def test_grid_bound_admits_a_grid_of_max_points():
     step = 1.0 / ex.MAX_GRID_POINTS
     assert len(ex._grid(0.0, 1.0 - step, step)) == ex.MAX_GRID_POINTS
     with pytest.raises(ConfigError, match="more than"):
         ex._grid(0.0, 1.0, step)
+
+
+def test_cli_simulate_overrides_reach_the_manifest(tmp_path):
+    path = write_config(tmp_path, {**FAST, "days": 2})
+    out_dir = tmp_path / "results"
+    assert cli_main(["simulate", "--config", str(path), "--out", str(out_dir),
+                     "--seed", "99", "--days", "1"]) == 0
+    manifest = json.loads((out_dir / "run_manifest.json").read_text())
+    assert manifest["master_seed"] == 99
+    assert (manifest["config"]["seed"], manifest["config"]["days"]) == (99, 1)
+    assert manifest["config"]["out_dir"] == str(out_dir)
+    rows = read_results_csv(out_dir / "results.csv")
+    assert [row["day"] for row in rows] == ["0"]
+    assert int(rows[0]["seed"]) == ex.row_seed(99, 1, 1, 0.5, 0)
+    # an override is checked like the config value it replaces
+    assert cli_main(["simulate", "--config", str(path), "--out", str(tmp_path / "zero"),
+                     "--days", "0"]) == 2
+    assert not (tmp_path / "zero").exists()
+
+
+@pytest.mark.parametrize("parallel", [0, -3])
+def test_cli_refuses_parallel_below_one(tmp_path, parallel, capsys):
+    path = write_config(tmp_path, FAST)
+    assert cli_main(["simulate", "--config", str(path), "--out", str(tmp_path / "o"),
+                     "--parallel", str(parallel)]) == 2
+    assert "parallel must be >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_sweep_starts_no_more_workers_than_points(tmp_path, monkeypatch):
+    started = []
+
+    class InProcessPool:   # records the pool size and runs the tasks here
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(ex, "ProcessPoolExecutor", InProcessPool)
+    payload = {**FAST, "days": 3}
+    serial = run_sweep(config_from_dict({**payload, "out_dir": str(tmp_path / "serial")}))
+    pooled = run_sweep(config_from_dict({**payload, "out_dir": str(tmp_path / "pooled")}),
+                       parallel=500)
+    assert started == [3]
+    assert pooled.results_csv.read_bytes() == serial.results_csv.read_bytes()
+    run_sweep(config_from_dict({**FAST, "out_dir": str(tmp_path / "one")}), parallel=500)
+    assert started == [3]    # a single point runs without a pool
 
 
 def test_cli_simulate_writes_outputs(tmp_path, capsys):

@@ -104,7 +104,8 @@ def test_emission_burst_spacing_and_off_gap():
 def test_emission_times_strictly_increasing(rng):
     for on in ("exp", "pareto", "tpt:10"):
         params = bursty_params(b=0.7, on=on)
-        times = source_emit(params, bulk_law_for(params), substream(11), horizon=2000.0)
+        times = source_emit(params, bulk_law_for(params.on_kind, params.n_p), substream(11),
+                            horizon=2000.0)
         assert np.all(np.diff(times) > 0)
         assert times[0] >= 0.0 and times[-1] < 2000.0
 
@@ -120,8 +121,8 @@ def test_emission_long_run_rate_matches_renewal_oracle(on, mode):
     horizon = 160_000.0
     rates = []
     for rep in range(12):
-        times = source_emit(params, bulk_law_for(params), substream(derive_seed(42, rep)),
-                            horizon)
+        times = source_emit(params, bulk_law_for(params.on_kind, params.n_p),
+                            substream(derive_seed(42, rep)), horizon)
         rates.append(times.size / horizon)
     rates = np.asarray(rates)
     se = rates.std(ddof=1) / math.sqrt(rates.size)
@@ -137,7 +138,7 @@ def test_emission_times_are_finite_non_negative_and_sorted(mode, off, n_p, b, ho
     # the value-sort merge of source streams equals the stable merge only
     # because equal emission times have equal bits: no NaN, no -0.0
     params = bursty_params(n_p=n_p, b=b, off=off, mode=mode)
-    times = source_emit(params, bulk_law_for(params), substream(seed), horizon)
+    times = source_emit(params, bulk_law_for(params.on_kind, params.n_p), substream(seed), horizon)
     assert np.all(np.isfinite(times)) and np.all(times >= 0.0)
     assert not np.any(np.signbit(times))
     assert np.all(np.diff(times) >= 0.0)
