@@ -61,7 +61,6 @@ _FIELDS = {
     "n_p": _Field(50.0, float, (">=", 1.0)),
     "lambda_total": _Field(50.0, float, (">", 0.0)),
     "rho": _Field(0.5, float, (">", 0.0), ("<", 1.0)),
-    "v": _Field(None, float, (">", 0.0)),                  # sink rate, in place of rho
     "B": _Field(1000, int, (">=", 1)),
     "horizon_s": _Field(90_000.0, float, (">", 0.0)),
     "warmup_s": _Field(3_600.0, float, (">=", 0.0)),
@@ -108,16 +107,23 @@ class SimConfig:
     raw: dict = field(default_factory=dict, compare=False)
 
 
-def _grid(lo: float, hi: float, step: float) -> list[float]:
-    """lo, lo + step, ... up to hi, each rounded to 9 decimals.  Refuses a
-    grid of more than MAX_GRID_POINTS points before building any of it."""
-    if (hi - lo) / step >= MAX_GRID_POINTS:
-        raise ConfigError(f"grid {lo}..{hi} by step {step} has more than "
-                          f"{MAX_GRID_POINTS} points")
-    vals, k = [], 0
-    while (v := round(lo + k * step, 9)) <= hi + 1e-9:
-        vals.append(v)
-        k += 1
+def _grid(name: str, lo: float, hi: float, step: float) -> list[float]:
+    """lo, lo + step, ... each rounded to 9 decimals, none above hi.  Refuses
+    a non-finite bound, a step <= 0, lo > hi, two equal points, no point, and
+    more than MAX_GRID_POINTS points up to hi + 1e-9 (the points' resolution),
+    counted before any is built."""
+    if not (all(map(math.isfinite, (lo, hi, step))) and step > 0.0):
+        raise ConfigError(f"grid {name}: need finite bounds and step > 0, got {lo}:{hi}:{step}")
+    if not lo <= hi:
+        raise ConfigError(f"grid {name}: need start <= stop, got {lo}..{hi}")
+    steps = (hi + 1e-9 - lo) // step
+    if not steps < MAX_GRID_POINTS:   # also a NaN from an overflowing hi - lo
+        raise ConfigError(f"grid {name}: {lo}:{hi}:{step} has more than {MAX_GRID_POINTS} points")
+    vals = [v for k in range(int(steps) + 1) if (v := round(lo + k * step, 9)) <= hi]
+    if len(set(vals)) < len(vals):
+        raise ConfigError(f"grid {name}: step {step} gives duplicate points at 9 decimals")
+    if not vals:
+        raise ConfigError(f"grid {name}: {lo}:{hi}:{step} has no point at 9 decimals")
     return vals
 
 
@@ -142,23 +148,17 @@ def config_from_dict(raw: dict) -> SimConfig:
         raise ConfigError("config root must be a JSON object")
     got = _check_fields(raw, _FIELDS)
     n_list = tuple(_checked(f"N[{i}]", n, _NODE_COUNT) for i, n in enumerate(got.pop("N")))
-    if not n_list:
-        raise ConfigError("field 'N' must be a non-empty list of node counts")
+    if not n_list or len(set(n_list)) < len(n_list):
+        raise ConfigError(f"field 'N' must be a non-empty list of distinct node counts, "
+                          f"got {list(n_list)}")
     grid = _check_fields(got.pop("b"), _GRID, "b.")
-    if not grid["start"] <= grid["stop"]:
-        raise ConfigError(f"field 'b': need start <= stop, got {grid['start']}..{grid['stop']}")
-    b_values = tuple(_grid(grid["start"], grid["stop"], grid["step"]))
-    v = got.pop("v")
-    if v is not None:
-        if "rho" in raw:
-            raise ConfigError("give either 'rho' or 'v', not both")
-        got["rho"] = _checked("lambda_total/v", got["lambda_total"] / v, _FIELDS["rho"])
+    b_values = tuple(_grid("b", grid["start"], grid["stop"], grid["step"]))
     if not got["warmup_s"] < got["horizon_s"]:
         raise ConfigError(f"field 'warmup_s' must be < horizon_s={got['horizon_s']}, "
                           f"got {got['warmup_s']}")
     if got["case"] == 1 and got["sink_service_rate"] is not None:
         raise ConfigError("field 'sink_service_rate' applies to cases 2 and 3 "
-                          "(case 1 sets the sink via 'rho' or 'v')")
+                          "(case 1 sets the sink via 'rho')")
     shape = dict(alpha=got.pop("alpha"), theta=got.pop("theta"))
     try:
         on = DistKind.parse(got.pop("on_kind"), **shape)
@@ -449,7 +449,8 @@ PLOT_METRICS = ("mpd_s", "e2e_delay_s", "throughput_pps", "overflow_prob")
 def emit_plotdata(summary_rows: list[dict], plot_dir) -> list[Path]:
     """Write gnuplot-ready series: one .dat per (case, entity, metric, N,
     ON-kind) for each PLOT_METRICS metric, x = burstiness, y = across-day
-    mean, plus a plot.gp script (logarithmic y axis for the delay series)."""
+    mean, plus a plot.gp script: log y axis for delays, lines titled 'N10 exp'
+    in numeric N order."""
     rows = [r for r in summary_rows if r["metric"] in PLOT_METRICS]
     if not rows:
         log.warning("emit_plotdata: no matching series; nothing written")
@@ -464,7 +465,7 @@ def emit_plotdata(summary_rows: list[dict], plot_dir) -> list[Path]:
         series.setdefault(key, []).append((float(row["b"]), row["mean"]))
 
     written = []
-    by_plot: dict[tuple, list[Path]] = {}
+    by_plot: dict[tuple, list[tuple[int, str, Path]]] = {}
     for key in sorted(series, key=str):
         case, entity, metric, n, on_kind, t = key
         label = on_kind if on_kind != "tpt" else f"tpt{t}"
@@ -475,7 +476,7 @@ def emit_plotdata(summary_rows: list[dict], plot_dir) -> list[Path]:
             for b, mean in points:
                 fh.write(f"{fmt9(b)}\t{fmt9(mean)}\n")
         written.append(path)
-        by_plot.setdefault((case, entity, metric), []).append(path)
+        by_plot.setdefault((case, entity, metric), []).append((int(n), label, path))
 
     script = plot_dir / "plot.gp"
     with open(script, "w", newline="") as fh:
@@ -483,14 +484,14 @@ def emit_plotdata(summary_rows: list[dict], plot_dir) -> list[Path]:
                  "set datafile separator '\\t'\n"
                  "set xlabel 'burstiness b'\nset key left top\nset grid\n"
                  "set terminal pngcairo size 900,600\n")
-        for (case, entity, metric), paths in sorted(by_plot.items(), key=str):
+        for (case, entity, metric), lines in sorted(by_plot.items(), key=str):
             fh.write(f"\n# case {case}, {entity}: {metric}\n")
             fh.write(f"set output 'case{case}_{entity}_{metric}.png'\n")
             fh.write("set logscale y\n" if metric in LOG_SCALE_METRICS
                      else "unset logscale y\n")
             fh.write(f"set ylabel '{metric}'\n")
-            parts = [f"'{p.name}' using 1:2 with linespoints title '{p.stem.split('_')[-1]}'"
-                     for p in paths]
+            parts = [f"'{p.name}' using 1:2 with linespoints title 'N{n} {label}'"
+                     for n, label, p in sorted(lines)]
             fh.write("plot " + ", \\\n     ".join(parts) + "\n")
     written.append(script)
     return written
@@ -501,10 +502,7 @@ def blowup_table(n: int, rho: float,
     """Blow-up point locations; with ``rho_sweep`` the table covers the
     utilization sensitivity (a, b, step).  Refuses a table of more than
     MAX_GRID_POINTS rows before computing any of them."""
-    if rho_sweep is not None and not (all(map(math.isfinite, rho_sweep))
-                                      and rho_sweep[0] <= rho_sweep[1] and rho_sweep[2] > 0.0):
-        raise ParameterError(f"rho sweep needs finite a <= b and step > 0, got {rho_sweep}")
-    rhos = [rho] if rho_sweep is None else _grid(*rho_sweep)
+    rhos = [rho] if rho_sweep is None else _grid("rho", *rho_sweep)
     if n * len(rhos) > MAX_GRID_POINTS:
         raise ParameterError(f"blowup table of N={n} x {len(rhos)} rho values has more "
                              f"than {MAX_GRID_POINTS} rows")

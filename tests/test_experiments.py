@@ -62,7 +62,7 @@ def test_config_parse_error_reports_position(tmp_path):
     ({"b": {"start": 0.5, "stop": 1.0, "step": 0.05}}, "'b.stop' must be < 1"),
     ({"b": {"start": 0.5, "stop": 0.4, "step": 0.05}}, "need start <= stop"),
     ({"b": {"start": 0.1, "stop": 0.9, "step": 0.0}}, "'b.step' must be > 0"),
-    ({"rho": 0.5, "v": 100.0}, "not both"),
+    ({"v": 100.0}, "unknown config keys: v"),   # rho is the one way to set utilization
     ({"rho": 1.2}, "rho"),
     ({"case": 4}, "case"),
     ({"N": []}, "N"),
@@ -78,7 +78,7 @@ def test_config_parse_error_reports_position(tmp_path):
     ({"b": {"start": "x", "stop": 0.9, "step": 0.1}}, "'b.start' must be a finite number"),
     ({"theta": "abc"}, "'theta' must be a finite number"),
     ({"rho": "abc"}, "'rho' must be a finite number"),
-    ({"v": "abc"}, "'v' must be a finite number"),
+    ({"B": 2.5}, "'B' must be an integer, got 2.5"),
     ({"warmup_s": "abc"}, "'warmup_s' must be a finite number"),
     ({"case": 2, "sink_service_rate": "abc"}, "'sink_service_rate' must be a finite number"),
     ({"on_kind": 5}, "'on_kind' must be a string"),
@@ -88,7 +88,6 @@ def test_config_parse_error_reports_position(tmp_path):
     ({"n_p": "5"}, "'n_p' must be a finite number"),
     # non-finite numbers are refused before a run could fail on them
     ({"horizon_s": math.inf}, "'horizon_s' must be a finite number"),
-    ({"v": 25.0}, "'lambda_total/v' must be < 1"),   # 50 / 25 gives utilization 2
 ])
 def test_config_validation_errors(tmp_path, patch, match):
     payload = dict(MINIMAL)
@@ -100,11 +99,6 @@ def test_config_validation_errors(tmp_path, patch, match):
 def test_missing_required_keys(tmp_path):
     with pytest.raises(ConfigError, match="missing required"):
         load_config(write_config(tmp_path, {"case": 1}))
-
-
-def test_config_v_gives_rho():
-    cfg = config_from_dict({**MINIMAL, "v": 200.0})
-    assert cfg.rho == 0.25
 
 
 def test_config_tpt_on_kind_carries_T():
@@ -320,6 +314,23 @@ def test_emit_plotdata_series_and_script(tmp_path):
     assert "unset logscale y" in script    # throughput series are linear
 
 
+def test_plot_lines_are_titled_by_n_in_numeric_order(tmp_path):
+    rows = [{"case": "1", "N": n, "b": b, "on_kind": "exp", "T": "1", "off_kind": "exp",
+             "entity": "sink", "metric": "mpd_s", "days": 1, "mean": mean,
+             "min": mean, "max": mean, "cv": 0.0}
+            for n in ("1", "10", "2") for b, mean in (("0.5", 0.25), ("0.7", 0.5))]
+    files = emit_plotdata(rows, tmp_path)
+    assert sorted(f.name for f in files) == [
+        "case1_sink_mpd_s_N10_exp.dat", "case1_sink_mpd_s_N1_exp.dat",
+        "case1_sink_mpd_s_N2_exp.dat", "plot.gp"]
+    assert (tmp_path / "case1_sink_mpd_s_N10_exp.dat").read_text() == (
+        "# b\tmpd_s (entity=sink, N=10, on=exp)\n"
+        "0.500000000\t0.250000000\n0.700000000\t0.500000000\n")
+    script = (tmp_path / "plot.gp").read_text()
+    titles = [part.split("title ")[1] for part in script.split("linespoints ")[1:]]
+    assert [t.split("'")[1] for t in titles] == ["N1 exp", "N2 exp", "N10 exp"]
+
+
 # ---------------------------------------------------------- analytic tables
 
 def test_blowup_table_values():
@@ -453,9 +464,51 @@ def test_cli_refuses_an_oversized_blowup_table_at_once(capsys):
 
 def test_grid_bound_admits_a_grid_of_max_points():
     step = 1.0 / ex.MAX_GRID_POINTS
-    assert len(ex._grid(0.0, 1.0 - step, step)) == ex.MAX_GRID_POINTS
+    assert len(ex._grid("b", 0.0, 1.0 - step, step)) == ex.MAX_GRID_POINTS
     with pytest.raises(ConfigError, match="more than"):
-        ex._grid(0.0, 1.0, step)
+        ex._grid("b", 0.0, 1.0, step)
+
+
+def test_grid_has_no_point_above_stop():
+    # 0.5 + 10 * 0.05 rounds to 1.0, within 1e-9 of stop but above it
+    assert ex._grid("b", 0.5, 0.999999999, 0.05) == \
+        [0.5, 0.55, 0.6, 0.65, 0.7, 0.75, 0.8, 0.85, 0.9, 0.95]
+
+
+@pytest.mark.parametrize("lo, hi, step, match", [
+    # 10 001 points within 1e-9 of stop: the bound counts them all
+    (0.0, 0.99999999999, 1e-4, "grid b: 0.0:0.99999999999:0.0001 has more than 10000 points"),
+    (0.5, 0.5000001, 5e-10, "grid b: step 5e-10 gives duplicate points"),
+    # the only point, 0.9999999996, rounds to 1.0, above stop
+    (0.9999999996, 0.9999999996, 0.1, "grid b: .* has no point"),
+])
+def test_grid_refuses(lo, hi, step, match):
+    with pytest.raises(ConfigError, match=match):
+        ex._grid("b", lo, hi, step)
+
+
+def test_cli_simulate_runs_every_replication_validate_counts(tmp_path, capsys):
+    # b = 1.0 used to pass validate and become an error row in simulate
+    path = write_config(tmp_path, {**FAST, "b": {"start": 0.5, "stop": 0.999999999,
+                                                 "step": 0.05}})
+    assert cli_main(["validate", "--config", str(path)]) == 0
+    assert "10 replications (1 N x 10 b from 0.5 to 0.95 x 1 days)" in capsys.readouterr().out
+    out_dir = tmp_path / "out"
+    assert cli_main(["simulate", "--config", str(path), "--out", str(out_dir)]) == 0
+    rows = read_results_csv(out_dir / "results.csv")
+    assert len(rows) == 10 and {row["status"] for row in rows} == {"ok"}
+
+
+@pytest.mark.parametrize("patch, match", [({"N": [1, 1]}, "distinct node counts, got [1, 1]"),
+                                          ({"v": 99.0}, "unknown config keys: v")])
+def test_cli_validate_and_simulate_refuse_alike(tmp_path, capsys, patch, match):
+    # N [1, 1] ran one replication twice with one seed: days 2 and cv 0 in summary.csv
+    path = write_config(tmp_path, {**FAST, **patch})
+    assert cli_main(["validate", "--config", str(path)]) == 2
+    assert match in capsys.readouterr().err
+    assert cli_main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert match in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_cli_simulate_overrides_reach_the_manifest(tmp_path):
