@@ -71,7 +71,6 @@ _FIELDS = {
     "alpha": _Field(1.4, float, (">", 1.0)),
     "theta": _Field(0.5, float, (">", 0.0), ("<", 1.0)),
     "trace": _Field(False, bool),
-    "sink_service_rate": _Field(None, float, (">", 0.0)),  # cases 2-3 sensitivity override
 }
 _NODE_COUNT = _Field(..., int, (">=", 1))
 _GRID = {"start": _Field(..., float, (">=", 0.0)),
@@ -103,7 +102,6 @@ class SimConfig:
     out_dir: str
     emission_mode: str
     trace: bool
-    sink_service_rate: Optional[float]
     raw: dict = field(default_factory=dict, compare=False)
 
 
@@ -156,9 +154,6 @@ def config_from_dict(raw: dict) -> SimConfig:
     if not got["warmup_s"] < got["horizon_s"]:
         raise ConfigError(f"field 'warmup_s' must be < horizon_s={got['horizon_s']}, "
                           f"got {got['warmup_s']}")
-    if got["case"] == 1 and got["sink_service_rate"] is not None:
-        raise ConfigError("field 'sink_service_rate' applies to cases 2 and 3 "
-                          "(case 1 sets the sink via 'rho')")
     shape = dict(alpha=got.pop("alpha"), theta=got.pop("theta"))
     try:
         on = DistKind.parse(got.pop("on_kind"), **shape)
@@ -201,14 +196,9 @@ def _checked(name: str, value, spec: _Field):
 
 
 def build_topology(config: SimConfig, n: int) -> TopologySpec:
-    if config.case == 1:
-        return build_star(n, config.lambda_total, v=config.lambda_total / config.rho,
-                          threshold=config.B)
-    if config.case == 2:
-        return build_case2(n, config.lambda_total, config.rho, threshold=config.B,
-                           sink_service_rate=config.sink_service_rate)
-    return build_case3(n, config.lambda_total, config.rho, threshold=config.B,
-                       sink_service_rate=config.sink_service_rate)
+    # the builders are looked up at call time, so a wrapped builder is the one called
+    builder = (build_star, build_case2, build_case3)[config.case - 1]
+    return builder(n, config.lambda_total, config.rho, threshold=config.B)
 
 
 SUMMARY_METRICS = ["mpd_s", "e2e_delay_s", "throughput_pps", "overflow_prob",

@@ -150,11 +150,14 @@ def blowup_points(N: int, rho: float) -> list[float]:
 
 def mpd_smooth_limit(v: float, rho: float) -> float:
     """Mean packet delay of the b=0 (Poisson) limit: (1/v)/(1-rho)."""
-    if not v > 0.0:
-        raise ParameterError(f"service rate v must be > 0, got {v}")
+    if not 0.0 < v < math.inf:
+        raise ParameterError(f"service rate v must be finite and > 0, got {v}")
     if not (0.0 < rho < 1.0):
         raise ParameterError(f"unstable utilization rho={rho}; need 0 < rho < 1")
-    return (1.0 / v) / (1.0 - rho)
+    mpd = (1.0 / v) / (1.0 - rho)
+    if not math.isfinite(mpd):   # 1/v overflows for a subnormal v
+        raise ParameterError(f"mean packet delay (1/v)/(1-rho) overflows at v={v}, rho={rho}")
+    return mpd
 
 
 @dataclass(frozen=True)
@@ -165,8 +168,9 @@ class GeometricLaw:
     mean: float
 
     def __post_init__(self):
-        if not self.mean >= 1.0:   # refuses NaN too
-            raise ParameterError(f"geometric burst-size mean must be >= 1, got {self.mean}")
+        if not 1.0 <= self.mean < math.inf:   # refuses NaN too
+            raise ParameterError(f"geometric burst-size mean must be finite and >= 1, "
+                                 f"got {self.mean}")
 
     def moments(self) -> tuple[float, float]:
         """(E[L], E[L(L+1)/2])."""

@@ -5,17 +5,15 @@ servers.  Each node names its ``parent`` (None at the sink), and
 ``TopologySpec.nodes`` lists them in serving order: every queue before its
 parent, the sink last.  Sources are grouped into clusters; a cluster hands
 its packets straight into the queue named by its ``attach`` (a relay or
-the sink).  Three builders cover the studied layouts:
+the sink).  The three studied layouts differ only in where each cluster
+of N sources attaches:
 
-* ``build_star``    -- N sources -> sink.
+* ``build_star``    -- case 1: one cluster -> sink.
 * ``build_case2``   -- two clusters -> two relays -> sink.
-* ``build_case3``   -- case 2 plus a third cluster attached straight to
-                       the sink.
+* ``build_case3``   -- case 2 plus a third cluster straight to the sink.
 
-For the relayed layouts every server is set to see the same utilization:
-relays keep v = lambda/rho and the sink is scaled to its total inflow
-(2*lambda/rho, or 3*lambda/rho with the direct cluster).  The sink rate
-can be overridden for sensitivity runs.
+Every server sees the same utilization rho: a relay serves lambda/rho and
+the sink is scaled to its total inflow, k*lambda/rho for k clusters.
 """
 from __future__ import annotations
 
@@ -62,60 +60,41 @@ class TopologySpec:
         return sum((self.offered_load(child) for child in self.children_of(node_id)), own)
 
 
-def build_star(n_sources: int, lambda_total: float, v: float,
+def build_star(n: int, lambda_cluster: float = 50.0, rho: float = 0.5, *,
                threshold: int = 1000) -> TopologySpec:
-    """N sources talking directly to one sink."""
-    if n_sources < 1:
-        raise ParameterError(f"n_sources must be >= 1, got {n_sources}")
-    if not v > 0.0:
-        raise ParameterError(f"service rate v must be > 0, got {v}")
-    if not 0.0 < lambda_total / v < 1.0:   # also refuses lambda_total <= 0
-        raise ParameterError(f"utilization lambda_total/v must be in (0,1), got {lambda_total / v}")
+    """Case 1: one cluster of n sources -> sink."""
+    return _build_tree(("sink",), n, lambda_cluster, rho, threshold)
+
+
+def build_case2(n: int, lambda_cluster: float = 50.0, rho: float = 0.5, *,
+                threshold: int = 1000) -> TopologySpec:
+    """Case 2: two clusters of n sources, each behind its own relay, then the sink."""
+    return _build_tree(("relay_1", "relay_2"), n, lambda_cluster, rho, threshold)
+
+
+def build_case3(n: int, lambda_cluster: float = 50.0, rho: float = 0.5, *,
+                threshold: int = 1000) -> TopologySpec:
+    """Case 3: case 2 plus a third cluster attached straight to the sink."""
+    return _build_tree(("relay_1", "relay_2", "sink"), n, lambda_cluster, rho, threshold)
+
+
+def _build_tree(attach: tuple[str, ...], n: int, lambda_cluster: float, rho: float,
+                threshold: int) -> TopologySpec:
+    """cluster_i (n sources, rate lambda_cluster) -> attach[i-1]; every relay
+    named in ``attach`` feeds the sink.  A relay serves lambda_cluster/rho and
+    the sink len(attach)*lambda_cluster/rho, so every queue sees rho."""
+    if n < 1:
+        raise ParameterError(f"n must be >= 1, got {n}")
+    if not lambda_cluster > 0.0:
+        raise ParameterError(f"lambda_cluster must be > 0, got {lambda_cluster}")
+    if not 0.0 < rho < 1.0:
+        raise ParameterError(f"utilization rho must be in (0,1), got {rho}")
     if threshold < 1:
         raise ParameterError(f"threshold must be >= 1, got {threshold}")
-    return TopologySpec(
-        nodes=(NodeSpec("sink", None, service_rate=v, threshold=threshold),),
-        clusters=(ClusterSpec("cluster_1", n_sources, attach="sink",
-                              arrival_rate=lambda_total),))
-
-
-def build_case2(n_per_cluster: int, lambda_per_relay: float = 50.0,
-                rho_target: float = 0.5, *, sink_service_rate: Optional[float] = None,
-                threshold: int = 1000) -> TopologySpec:
-    """Two clusters of N sources, each behind its own relay, then the sink."""
-    return _build_relayed(n_per_cluster, lambda_per_relay, rho_target, direct=False,
-                          sink_service_rate=sink_service_rate, threshold=threshold)
-
-
-def build_case3(n_per_cluster: int = 1, lambda_per_cluster: float = 50.0,
-                rho_target: float = 0.5, *, sink_service_rate: Optional[float] = None,
-                threshold: int = 1000) -> TopologySpec:
-    """Two relayed clusters plus a third cluster attached straight to the sink."""
-    return _build_relayed(n_per_cluster, lambda_per_cluster, rho_target, direct=True,
-                          sink_service_rate=sink_service_rate, threshold=threshold)
-
-
-def _build_relayed(n_per_cluster: int, lambda_per_cluster: float, rho_target: float,
-                   direct: bool, sink_service_rate: Optional[float],
-                   threshold: int) -> TopologySpec:
-    """cluster_i -> relay_i -> sink for i = 1, 2; with ``direct`` a third
-    cluster attaches to the sink."""
-    if n_per_cluster < 1:
-        raise ParameterError(f"n_per_cluster must be >= 1, got {n_per_cluster}")
-    if not lambda_per_cluster > 0.0:
-        raise ParameterError(f"lambda_per_cluster must be > 0, got {lambda_per_cluster}")
-    if not (0.0 < rho_target < 1.0):
-        raise ParameterError(f"rho_target must be in (0,1), got {rho_target}")
-    if sink_service_rate is None:
-        sink_service_rate = (3.0 if direct else 2.0) * lambda_per_cluster / rho_target
-    relays = ("relay_1", "relay_2")
-    relay_rate = lambda_per_cluster / rho_target
-    nodes = tuple(NodeSpec(r, "sink", service_rate=relay_rate, threshold=threshold)
-                  for r in relays)
-    nodes += (NodeSpec("sink", None, service_rate=sink_service_rate, threshold=threshold),)
-    attach = relays + (("sink",) if direct else ())
-    clusters = tuple(ClusterSpec(f"cluster_{i}", n_per_cluster, attach=node_id,
-                                 arrival_rate=lambda_per_cluster)
+    nodes = tuple(NodeSpec(r, "sink", lambda_cluster / rho, threshold)
+                  for r in attach if r != "sink")
+    nodes += (NodeSpec("sink", None, len(attach) * lambda_cluster / rho, threshold),)
+    clusters = tuple(ClusterSpec(f"cluster_{i}", n, attach=node_id, arrival_rate=lambda_cluster)
                      for i, node_id in enumerate(attach, start=1))
     return TopologySpec(nodes=nodes, clusters=clusters)
 

@@ -36,9 +36,9 @@ def _report(num: int, ok: bool, detail: str) -> bool:
     return ok
 
 
-def _star_day(n, b, on_kind, off_kind, seed, *, lam=50.0, v=100.0, n_p=50.0,
+def _star_day(n, b, on_kind, off_kind, seed, *, lam=50.0, rho=0.5, n_p=50.0,
               B=1000, mode=EMISSION_CONST):
-    topo = wb.build_star(n, lam, v, threshold=B)
+    topo = wb.build_star(n, lam, rho, threshold=B)
     src = derive_source_params(lam, n, n_p, b, on_kind, off_kind, emission_mode=mode)
     return run_replication(topo, {"cluster_1": src}, DAY_CFG, seed)
 
@@ -131,7 +131,7 @@ def test_criterion_04_bulk_approach():
     for b in B_GRID:
         vals = [_star_day(1, b, EXP, EXP,
                           derive_seed(MASTER, 4, int(b * 1e6), day),
-                          lam=10.0, v=20.0, n_p=20.0).per_node["sink"].mpd_s
+                          lam=10.0, n_p=20.0).per_node["sink"].mpd_s
                 for day in range(10)]
         means.append(float(np.mean(vals)))
     bulk = mpd_bulk_limit(20.0, 0.5, GeometricLaw(20.0))   # 2.0 s

@@ -26,8 +26,8 @@ from reference import fifo_closed_form, fifo_event_loop, stable_merge, time_aver
 EXP = DistKind.parse("exp")
 
 
-def _star(n=1, lam=50.0, v=100.0, B=1000):
-    return wb.build_star(n, lam, v, threshold=B)
+def _star(n=1, lam=50.0, rho=0.5, B=1000):
+    return wb.build_star(n, lam, rho, threshold=B)
 
 
 def bursty_params(lam=50.0, n=1, n_p=50.0, b=0.5, on="exp", off="exp", mode=EMISSION_CONST):
@@ -201,7 +201,7 @@ def test_cluster_counts_equal_bincount(case):
 
 
 def test_mm1_poisson_validation_mode_short():
-    topo = _star(v=100.0, B=10)
+    topo = _star(B=10)
     src = bursty_params(b=0.0, mode=EMISSION_POISSON)
     res = run_replication(topo, {"cluster_1": src},
                           RunConfig(horizon_s=7200.0, warmup_s=600.0), seed=4242)
@@ -225,7 +225,7 @@ def test_near_smooth_limit_single_day():
 
 
 def test_replication_bitwise_deterministic():
-    topo = _star(v=100.0)
+    topo = _star()
     src = bursty_params(b=0.6, on="tpt:10")
     cfg = RunConfig(horizon_s=7200.0, warmup_s=600.0)
     a = run_replication(topo, {"cluster_1": src}, cfg, seed=77)
@@ -400,7 +400,7 @@ def test_overflow_equals_packets_seen_count_on_replications(case):
 
 def test_overflow_mm1_geometric_tail():
     # PASTA oracle: an arrival sees >= B in system with probability rho^B
-    topo = _star(v=100.0, B=5)
+    topo = _star(B=5)
     src = bursty_params(b=0.0, mode=EMISSION_POISSON)
     estimates = []
     for day in range(4):
@@ -471,7 +471,7 @@ def test_trace_columns_contract():
 
 
 def test_trace_csv_roundtrip(tmp_path):
-    topo = _star(lam=1.0, v=4.0)
+    topo = _star(lam=1.0, rho=0.25)
     src = bursty_params(lam=1.0, n_p=2.0, b=0.5)
     cfg = RunConfig(horizon_s=60.0, warmup_s=5.0, trace=True)
     res = run_replication(topo, {"cluster_1": src}, cfg, seed=5)
