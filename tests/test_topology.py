@@ -27,6 +27,21 @@ def test_build_star_many_sources_share_rate():
     assert c.arrival_rate / c.n_sources == pytest.approx(5.0)  # K per source
 
 
+def test_build_star_rejects_zero_rate():
+    with pytest.raises(ParameterError):
+        build_star(1, 0.0, 0.5)
+
+
+def test_build_star_refuses_bad_sink():
+    build_star(1, 50.0, 0.5, threshold=1000)
+    with pytest.raises(ParameterError, match="utilization"):
+        build_star(1, 50.0, 1.0, threshold=1000)   # rho = 1
+    with pytest.raises(ParameterError, match="utilization"):
+        build_star(1, 50.0, 0.0, threshold=1000)   # no service rate
+    with pytest.raises(ParameterError, match="threshold"):
+        build_star(1, 50.0, 0.5, threshold=0)
+
+
 @BUILDERS
 def test_builders_refuse_bad_inputs(builder):
     assert validate_topology(builder(1, 50.0, 0.5, threshold=1)) == []
