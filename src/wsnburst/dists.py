@@ -24,7 +24,7 @@ from typing import Union
 
 import numpy as np
 
-from .rng import open_uniform, open_uniform_array
+from .rng import open_uniform_array
 
 
 class ParameterError(ValueError):
@@ -122,9 +122,7 @@ def reliability(spec: DistributionSpec, x) -> float:
 
 def mean_of(spec: DistributionSpec) -> float:
     """Analytic mean of the distribution."""
-    if isinstance(spec, Exponential):
-        return spec.mean
-    if isinstance(spec, Pareto):
+    if isinstance(spec, (Exponential, Pareto)):
         return spec.mean
     if isinstance(spec, Deterministic):
         return spec.value
@@ -145,10 +143,10 @@ def sample(spec: DistributionSpec, rng: np.random.Generator) -> float:
     ``reliability(spec, sample(spec, rng))`` reproduces the drawn uniform."""
     if isinstance(spec, Deterministic):
         return spec.value  # consumes no randomness
+    u = float(open_uniform_array(rng, 1)[0])
     if isinstance(spec, Exponential):
-        return -spec.mean * math.log(open_uniform(rng))
+        return -spec.mean * math.log(u)
     if isinstance(spec, Pareto):
-        u = open_uniform(rng)
         return spec.scale * (u ** (-1.0 / spec.alpha) - 1.0)
     raise ParameterError(f"cannot draw one value of {spec!r}; use sample_array")
 

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import __version__
 from .dists import ParameterError
-from .model import (DistKind, DeterministicLaw, GeometricLaw, SourceParams,
+from .model import (DistKind, DeterministicLaw, GeometricLaw,
                     bulk_factor, bulk_law_for, blowup_points, derive_source_params,
                     mpd_bulk_limit, mpd_smooth_limit)
 from .rng import derive_seed
@@ -262,15 +262,6 @@ def row_seed(master: int, case: int, n: int, b: float, day: int) -> int:
     return derive_seed(master, case, n, int(round(b * 1e6)), day)
 
 
-def cluster_sources(config: SimConfig, topo: TopologySpec,
-                    b: float) -> dict[str, SourceParams]:
-    """Per-source parameters of every cluster of ``topo`` at burstiness b."""
-    return {c.cluster_id: derive_source_params(
-                c.arrival_rate, c.n_sources, config.n_p, b, config.on, config.off,
-                emission_mode=config.emission_mode)
-            for c in topo.clusters}
-
-
 def run_point(config: SimConfig, n: int, b: float, day: int) -> list[SweepRow]:
     """One replication of one sweep point, expanded to its entity rows."""
     seed = row_seed(config.seed, config.case, n, b, day)
@@ -278,10 +269,11 @@ def run_point(config: SimConfig, n: int, b: float, day: int) -> list[SweepRow]:
                 T=config.on.T or 1, off_kind=config.off.kind, day=day, seed=seed)
     try:
         topo = build_topology(config, n)
-        sources = cluster_sources(config, topo, b)
+        source = derive_source_params(config.lambda_total, n, config.n_p, b, config.on,
+                                      config.off, emission_mode=config.emission_mode)
         run_cfg = RunConfig(horizon_s=config.horizon_s, warmup_s=config.warmup_s,
                             trace=config.trace)
-        result = run_replication(topo, sources, run_cfg, seed)
+        result = run_replication(topo, source, run_cfg, seed)
         if result.trace is not None:
             trace_dir = Path(config.out_dir) / "traces"
             trace_dir.mkdir(parents=True, exist_ok=True)
@@ -348,9 +340,8 @@ def run_sweep(config: SimConfig, parallel: int = 1) -> SweepOutput:
     parsed = read_results_csv(results_csv)
     summary_rows = summarize(parsed)
     summary_csv = out / "summary.csv"
-    write_csv(summary_csv, SUMMARY_COLUMNS,   # mean, min, max and cv in 9 digits
-              ([row[k] for k in SUMMARY_COLUMNS[:9]]
-               + [fmt9(row[k]) for k in SUMMARY_COLUMNS[9:]] for row in summary_rows))
+    write_csv(summary_csv, SUMMARY_COLUMNS,
+              ([_cell(row[k]) for k in SUMMARY_COLUMNS] for row in summary_rows))
     plot_files = emit_plotdata(summary_rows, out / "plots")
     manifest = out / "run_manifest.json"
     _write_manifest(config, manifest)

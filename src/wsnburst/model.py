@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
@@ -225,8 +226,9 @@ class DeterministicLaw:
     packets: int
 
     def __post_init__(self):
-        if self.packets < 1:
-            raise ParameterError(f"burst size must be >= 1, got {self.packets}")
+        if not 1 <= self.packets <= sys.float_info.max:   # compared exactly, never converted
+            raise ParameterError(f"burst size must be >= 1 and a finite float, "
+                                 f"got {self.packets}")
 
     def moments(self) -> tuple[float, float]:
         """(E[L], E[L(L+1)/2])."""
@@ -283,8 +285,13 @@ def bulk_law_for(on_kind: DistKind, n_p: float) -> BulkSizeLaw:
 
 
 def bulk_factor(law: BulkSizeLaw) -> float:
-    """Bulk factor D = E[L(L+1)/2] / E[L] of a burst-size law; infinite
-    when the second moment diverges (Pareto alpha <= 2)."""
+    """Bulk factor D = E[L(L+1)/2] / E[L] of a burst-size law: the mean of a
+    geometric law and (k+1)/2 for k packets, taken without the second moment
+    (it overflows first); infinite if the second moment diverges (Pareto alpha <= 2)."""
+    if isinstance(law, GeometricLaw):
+        return law.mean
+    if isinstance(law, DeterministicLaw):
+        return (law.packets + 1.0) / 2.0
     mean, second = law.moments()
     return second / mean
 

@@ -48,14 +48,6 @@ def substream(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed & _MASK64))
 
 
-def open_uniform(rng: np.random.Generator) -> float:
-    """One uniform on the open interval (0,1); exact 0 is redrawn."""
-    u = rng.random()
-    while u == 0.0:
-        u = rng.random()
-    return u
-
-
 def open_uniform_array(rng: np.random.Generator, n: int) -> np.ndarray:
     """n uniforms on (0,1); exact zeros are redrawn in place."""
     u = rng.random(n)

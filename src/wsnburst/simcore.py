@@ -23,7 +23,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -207,27 +207,25 @@ def time_average_in_system(arrive: np.ndarray, depart: np.ndarray,
     return float(overlap.sum() / (hi - lo))
 
 
-def simulate(topo: TopologySpec, sources: Mapping[str, SourceParams],
+def simulate(topo: TopologySpec, source: SourceParams,
              config: RunConfig, seed: int) -> Iterator[tuple[str, NodeState]]:
     """Yield ``(node_id, state)`` per queue node of one replication, in the
-    serving order of ``topo.nodes``, keeping no yielded state.  ``sources`` maps
-    cluster_id to the per-source parameters of that cluster (all sources of
-    a cluster are identical).  Identical (topology, sources, config, seed)
-    give bitwise-identical trajectories."""
+    serving order of ``topo.nodes``, keeping no yielded state.  Every source
+    of every cluster follows the one law ``source``.  Identical (topology,
+    source, config, seed) give bitwise-identical trajectories."""
     issues = validate_topology(topo)
     if issues:
         raise ParameterError("invalid topology: " + "; ".join(issues))
     horizon = config.horizon_s
     carried = ("created", "cluster") + (_TRACE_PAYLOAD if config.trace else ())
+    law = bulk_law_for(source.on_kind, source.n_p)
 
     def emitted(ci: int, cluster) -> dict:
         # each source has its own substream, so emitting on demand keeps the bytes
-        params = sources[cluster.cluster_id] if cluster.n_sources else None
-        law = bulk_law_for(params.on_kind, params.n_p) if params is not None else None
         streams = []
         for si in range(cluster.n_sources):
             rng = substream(derive_seed(seed, _SRC_TAG, ci, si))
-            times = source_emit(params, law, rng, horizon)
+            times = source_emit(source, law, rng, horizon)
             stream = {"times": times}
             if config.trace:
                 size_rng = substream(derive_seed(seed, _SIZE_TAG, ci, si))
@@ -257,26 +255,27 @@ def simulate(topo: TopologySpec, sources: Mapping[str, SourceParams],
         del arrive, depart, merged   # else they would pin this child while its parent merges
 
 
-def run_replication(topo: TopologySpec, sources: Mapping[str, SourceParams],
+def run_replication(topo: TopologySpec, source: SourceParams,
                     config: RunConfig, seed: int) -> ReplicationResult:
     """Execute one replication (``simulate``), taking each node's metrics as
     its state streams by; only the sink's state is kept (every node's in
     trace mode).
 
-    Offered load >= service rate anywhere is allowed but flagged
+    A node whose mean load, ``source.K`` times the sources whose packets
+    pass through it, reaches its service rate is allowed but flagged
     ``saturated``.
     """
     horizon, warmup = config.horizon_s, config.warmup_s
     clusters = list(topo.clusters)
     metrics: dict[str, NodeMetrics] = {}
     states: dict[str, NodeState] = {}
-    for node_id, st in simulate(topo, sources, config, seed):
+    for node_id, st in simulate(topo, source, config, seed):
         metrics[node_id] = _node_metrics(st, warmup, horizon, len(clusters))
         if config.trace or node_id == topo.sink_id:
             states[node_id] = st
         del st   # else it would pin this child while its parent merges
-    saturated = any(topo.offered_load(node.node_id) >= node.service_rate * (1.0 - 1e-12)
-                    for node in topo.nodes)
+    saturated = any(source.K * topo.sources_through(node.node_id)
+                    >= node.service_rate * (1.0 - 1e-12) for node in topo.nodes)
     per_cluster, overall_e2e, overall_n = _cluster_metrics(
         clusters, states[topo.sink_id], metrics, warmup, horizon)
     return ReplicationResult(

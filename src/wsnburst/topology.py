@@ -36,7 +36,6 @@ class ClusterSpec:
     cluster_id: str
     n_sources: int
     attach: str            # node_id of the queue the sources feed
-    arrival_rate: float    # aggregate mean rate of the cluster (packets/s)
 
 
 @dataclass(frozen=True)
@@ -51,13 +50,10 @@ class TopologySpec:
     def children_of(self, node_id: str) -> list[str]:
         return [n.node_id for n in self.nodes if n.parent == node_id]
 
-    def clusters_at(self, node_id: str) -> list[ClusterSpec]:
-        return [c for c in self.clusters if c.attach == node_id]
-
-    def offered_load(self, node_id: str) -> float:
-        """Mean packet rate through a queue node (its whole subtree)."""
-        own = sum(c.arrival_rate for c in self.clusters_at(node_id))
-        return sum((self.offered_load(child) for child in self.children_of(node_id)), own)
+    def sources_through(self, node_id: str) -> int:
+        """Sources whose packets pass through a queue node (its whole subtree)."""
+        own = sum(c.n_sources for c in self.clusters if c.attach == node_id)
+        return own + sum(self.sources_through(child) for child in self.children_of(node_id))
 
 
 def build_star(n: int, lambda_cluster: float = 50.0, rho: float = 0.5, *,
@@ -80,9 +76,10 @@ def build_case3(n: int, lambda_cluster: float = 50.0, rho: float = 0.5, *,
 
 def _build_tree(attach: tuple[str, ...], n: int, lambda_cluster: float, rho: float,
                 threshold: int) -> TopologySpec:
-    """cluster_i (n sources, rate lambda_cluster) -> attach[i-1]; every relay
-    named in ``attach`` feeds the sink.  A relay serves lambda_cluster/rho and
-    the sink len(attach)*lambda_cluster/rho, so every queue sees rho."""
+    """cluster_i (n sources) -> attach[i-1]; every relay named in ``attach``
+    feeds the sink.  For a cluster mean rate lambda_cluster, a relay serves
+    lambda_cluster/rho and the sink len(attach)*lambda_cluster/rho, so every
+    queue sees rho."""
     if n < 1:
         raise ParameterError(f"n must be >= 1, got {n}")
     if not lambda_cluster > 0.0:
@@ -94,7 +91,7 @@ def _build_tree(attach: tuple[str, ...], n: int, lambda_cluster: float, rho: flo
     nodes = tuple(NodeSpec(r, "sink", lambda_cluster / rho, threshold)
                   for r in attach if r != "sink")
     nodes += (NodeSpec("sink", None, len(attach) * lambda_cluster / rho, threshold),)
-    clusters = tuple(ClusterSpec(f"cluster_{i}", n, attach=node_id, arrival_rate=lambda_cluster)
+    clusters = tuple(ClusterSpec(f"cluster_{i}", n, attach=node_id)
                      for i, node_id in enumerate(attach, start=1))
     return TopologySpec(nodes=nodes, clusters=clusters)
 
@@ -122,8 +119,6 @@ def validate_topology(spec: TopologySpec) -> list[str]:
             issues.append(f"cluster {c.cluster_id} attaches to unknown node {c.attach}")
         if c.n_sources < 0:
             issues.append(f"cluster {c.cluster_id} has negative source count")
-        if c.arrival_rate < 0.0:
-            issues.append(f"cluster {c.cluster_id} has negative arrival rate")
 
     for n in spec.nodes:
         if not n.service_rate > 0.0:

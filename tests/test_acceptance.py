@@ -2,8 +2,9 @@
 
 Each test prints a ``criterion NN: PASS/FAIL`` line (visible with
 ``pytest tests/test_acceptance.py -s``) and then asserts.  The suite is
-compute-heavy (hundreds of 25-hour replications) and takes on the order
-of 15 minutes on one core.
+compute-heavy (hundreds of 25-hour replications) and takes about 5
+minutes on a 2-vCPU x86-64 VM; every test carries the ``acceptance``
+marker, so ``pytest -m "not acceptance"`` leaves it out.
 """
 import json
 import math
@@ -21,6 +22,8 @@ from wsnburst.model import (EMISSION_CONST, EMISSION_POISSON, DistKind,
                             mpd_smooth_limit)
 from wsnburst.rng import derive_seed, substream
 from wsnburst.simcore import RunConfig, run_replication
+
+pytestmark = pytest.mark.acceptance
 
 EXP = DistKind.parse("exp")
 PARETO = DistKind.parse("pareto")
@@ -40,16 +43,14 @@ def _star_day(n, b, on_kind, off_kind, seed, *, lam=50.0, rho=0.5, n_p=50.0,
               B=1000, mode=EMISSION_CONST):
     topo = wb.build_star(n, lam, rho, threshold=B)
     src = derive_source_params(lam, n, n_p, b, on_kind, off_kind, emission_mode=mode)
-    return run_replication(topo, {"cluster_1": src}, DAY_CFG, seed)
+    return run_replication(topo, src, DAY_CFG, seed)
 
 
 def _case_day(case, b, seed, on_kind=EXP):
     topo = (wb.build_case2(1, 50.0, 0.5, threshold=1000) if case == 2
             else wb.build_case3(1, 50.0, 0.5, threshold=1000))
-    sources = {c.cluster_id: derive_source_params(c.arrival_rate, c.n_sources,
-                                                  50.0, b, on_kind, EXP)
-               for c in topo.clusters}
-    return run_replication(topo, sources, DAY_CFG, seed)
+    return run_replication(topo, derive_source_params(50.0, 1, 50.0, b, on_kind, EXP),
+                           DAY_CFG, seed)
 
 
 def tail_slope(samples, lo_q=0.90, hi_q=0.999, points=60):

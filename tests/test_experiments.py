@@ -171,6 +171,21 @@ def test_case2_sweep_bytes_are_pinned(tmp_path):
         "c1c71a448635504514042229c66d35050dafeece4c2488197e7fda3e61e1beac"
 
 
+def test_pareto_sweep_bytes_are_pinned(tmp_path):
+    # no benchmark workload runs a Pareto ON or OFF law; b starts at 0,
+    # where the OFF time is the point 0
+    out = run_sweep(config_from_dict({
+        "case": 3, "N": [1, 2], "b": {"start": 0.0, "stop": 0.8, "step": 0.4},
+        "on_kind": "pareto", "off_kind": "pareto", "n_p": 50.0, "lambda_total": 5.0,
+        "horizon_s": 1200.0, "warmup_s": 300.0, "days": 1, "B": 5,
+        "out_dir": str(tmp_path)}))
+    assert all(row.status == "ok" for row in out.rows)
+    assert hashlib.sha256(out.results_csv.read_bytes()).hexdigest() == \
+        "16d26f25709a030717d0668b2d521aa318c5fac7ad8938b03186824a2fc1b8e3"
+    assert hashlib.sha256(out.summary_csv.read_bytes()).hexdigest() == \
+        "ea2ed5dd1ec55f307c337f0cee20a5584f5ffbffc9aa88dff937ebba73c3248d"
+
+
 def test_sweep_seed_override_changes_rows(tmp_path):
     base = run_sweep(config_from_dict({**FAST, "out_dir": str(tmp_path / "a")}))
     other = run_sweep(config_from_dict({**FAST, "seed": 99, "out_dir": str(tmp_path / "b")}))
@@ -384,6 +399,7 @@ def test_cli_limits_prints_values(capsys):
     (["--v", "inf", "--law", "geom:20"], "v must be finite and > 0, got inf"),
     (["--v", "1e-320", "--law", "geom:20"], "overflows at v=1e-320"),   # 1/v is inf
     (["--v", "20", "--law", "geom:inf"], "mean must be finite and >= 1, got inf"),
+    (["--v", "20", "--law", f"det:{10**400}"], "must be >= 1 and a finite float"),
 ])
 def test_cli_limits_refuses_non_finite_answers(capsys, args, match):
     assert cli_main(["analytic", "limits", "--rho", "0.5", *args]) == 2

@@ -109,6 +109,15 @@ def test_bulk_factor_deterministic():
     assert bulk_factor(DeterministicLaw(5)) == 3.0
 
 
+def test_bulk_factor_does_not_square_the_mean():
+    # E[L(L+1)/2] overflows above a mean of about 1.3e154; D stays finite
+    assert bulk_factor(GeometricLaw(1e200)) == 1e200
+    assert bulk_factor(DeterministicLaw(10**200)) == 5e199
+    assert mpd_bulk_limit(20.0, 0.5, GeometricLaw(1e200)) == pytest.approx(1e199, rel=1e-12)
+    with pytest.raises(ParameterError, match="finite float"):
+        DeterministicLaw(10**400)   # float(10**400) would raise OverflowError
+
+
 def test_bulk_factor_infinite_for_heavy_tail():
     # alpha <= 2: E[L] is finite but the second moment, and so D, diverges
     law = DiscretizedLaw(Pareto(alpha=1.4, mean=20.0))

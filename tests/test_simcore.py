@@ -154,8 +154,9 @@ def test_emission_partial_burst_cut_at_horizon():
 
 def test_zero_sources_give_zero_metrics():
     topo = TopologySpec(nodes=(NodeSpec("sink", None, service_rate=10.0, threshold=5),),
-                        clusters=(ClusterSpec("cluster_1", 0, "sink", 0.0),))
-    res = run_replication(topo, {}, RunConfig(horizon_s=100.0, warmup_s=10.0), seed=1)
+                        clusters=(ClusterSpec("cluster_1", 0, "sink"),))
+    res = run_replication(topo, bursty_params(), RunConfig(horizon_s=100.0, warmup_s=10.0),
+                          seed=1)
     m = res.per_node["sink"]
     assert m.mpd_s == 0.0 and m.throughput_pps == 0.0 and m.overflow_prob == 0.0
     assert m.packets == 0 and res.overall_packets == 0
@@ -164,9 +165,9 @@ def test_zero_sources_give_zero_metrics():
 def test_empty_cluster_beside_a_live_one():
     # the empty stream of a source-less cluster merges like any other input
     topo = TopologySpec(nodes=(NodeSpec("sink", None, service_rate=100.0, threshold=10),),
-                        clusters=(ClusterSpec("cluster_1", 0, "sink", 0.0),
-                                  ClusterSpec("cluster_2", 1, "sink", 50.0)))
-    res = run_replication(topo, {"cluster_2": bursty_params()},
+                        clusters=(ClusterSpec("cluster_1", 0, "sink"),
+                                  ClusterSpec("cluster_2", 1, "sink")))
+    res = run_replication(topo, bursty_params(),
                           RunConfig(horizon_s=100.0, warmup_s=10.0), seed=1)
     assert res.per_cluster["cluster_1"].packets == 0
     assert res.per_cluster["cluster_2"].packets == res.overall_packets > 0
@@ -180,15 +181,14 @@ def test_cluster_counts_equal_bincount(case):
         topo, src = wb.build_case3(2, 50.0), bursty_params(n=2, b=0.9)
     else:
         topo = TopologySpec(nodes=(NodeSpec("sink", None, service_rate=100.0, threshold=10),),
-                            clusters=(ClusterSpec("cluster_1", 0, "sink", 0.0),
-                                      ClusterSpec("cluster_2", 2, "sink", 50.0),
-                                      ClusterSpec("cluster_3", 0, "sink", 0.0)))
+                            clusters=(ClusterSpec("cluster_1", 0, "sink"),
+                                      ClusterSpec("cluster_2", 2, "sink"),
+                                      ClusterSpec("cluster_3", 0, "sink")))
         src = bursty_params(n=2)
-    sources = {c.cluster_id: src for c in topo.clusters if c.n_sources}
     config = RunConfig(horizon_s=600.0, warmup_s=60.0)
-    res = run_replication(topo, sources, config, seed=5)
+    res = run_replication(topo, src, config, seed=5)
     k, window = len(topo.clusters), 540.0
-    for node_id, state in simulate(topo, sources, config, seed=5):
+    for node_id, state in simulate(topo, src, config, seed=5):
         first = np.searchsorted(state.arrive, 60.0, "right")
         counts = np.bincount(state.cluster[first:], minlength=k)
         assert res.per_node[node_id].cluster_throughput_pps == {
@@ -203,7 +203,7 @@ def test_cluster_counts_equal_bincount(case):
 def test_mm1_poisson_validation_mode_short():
     topo = _star(B=10)
     src = bursty_params(b=0.0, mode=EMISSION_POISSON)
-    res = run_replication(topo, {"cluster_1": src},
+    res = run_replication(topo, src,
                           RunConfig(horizon_s=7200.0, warmup_s=600.0), seed=4242)
     m = res.per_node["sink"]
     assert m.mpd_s == pytest.approx(0.02, rel=0.10)
@@ -216,11 +216,11 @@ def test_near_smooth_limit_single_day():
     # Poisson and sits strictly below it (D/M/1-like)
     topo = _star()
     poisson = bursty_params(b=0.05, mode=EMISSION_POISSON)
-    res = run_replication(topo, {"cluster_1": poisson}, RunConfig(), seed=99)
+    res = run_replication(topo, poisson, RunConfig(), seed=99)
     assert res.per_node["sink"].mpd_s == pytest.approx(0.02, rel=0.15)
     assert not res.saturated
     smooth = bursty_params(b=0.05, mode=EMISSION_CONST)
-    res2 = run_replication(topo, {"cluster_1": smooth}, RunConfig(), seed=99)
+    res2 = run_replication(topo, smooth, RunConfig(), seed=99)
     assert res2.per_node["sink"].mpd_s < 0.02
 
 
@@ -228,13 +228,13 @@ def test_replication_bitwise_deterministic():
     topo = _star()
     src = bursty_params(b=0.6, on="tpt:10")
     cfg = RunConfig(horizon_s=7200.0, warmup_s=600.0)
-    a = run_replication(topo, {"cluster_1": src}, cfg, seed=77)
-    b = run_replication(topo, {"cluster_1": src}, cfg, seed=77)
+    a = run_replication(topo, src, cfg, seed=77)
+    b = run_replication(topo, src, cfg, seed=77)
     assert a.per_node == b.per_node
-    sink_a = dict(simulate(topo, {"cluster_1": src}, cfg, seed=77))["sink"]
-    sink_b = dict(simulate(topo, {"cluster_1": src}, cfg, seed=77))["sink"]
+    sink_a = dict(simulate(topo, src, cfg, seed=77))["sink"]
+    sink_b = dict(simulate(topo, src, cfg, seed=77))["sink"]
     assert np.array_equal(sink_a.depart, sink_b.depart)
-    sink_c = dict(simulate(topo, {"cluster_1": src}, cfg, seed=78))["sink"]
+    sink_c = dict(simulate(topo, src, cfg, seed=78))["sink"]
     assert not np.array_equal(sink_a.depart, sink_c.depart)
 
 
@@ -243,36 +243,42 @@ def test_adding_a_cluster_does_not_perturb_other_streams():
     cfg = RunConfig(horizon_s=3600.0, warmup_s=100.0)
     t2 = wb.build_case2(1, 50.0, 0.5)
     t3 = wb.build_case3(1, 50.0, 0.5)
-    s2 = {c.cluster_id: bursty_params(50.0, 1, b=0.5) for c in t2.clusters}
-    s3 = {c.cluster_id: bursty_params(50.0, 1, b=0.5) for c in t3.clusters}
-    r2 = dict(simulate(t2, s2, cfg, seed=5))
-    r3 = dict(simulate(t3, s3, cfg, seed=5))
+    src = bursty_params(50.0, 1, b=0.5)
+    r2 = dict(simulate(t2, src, cfg, seed=5))
+    r3 = dict(simulate(t3, src, cfg, seed=5))
     np.testing.assert_array_equal(r2["relay_1"].arrive, r3["relay_1"].arrive)
     np.testing.assert_array_equal(r2["relay_1"].depart, r3["relay_1"].depart)
 
 
 def test_saturated_flag_on_overloaded_node():
     topo = TopologySpec(nodes=(NodeSpec("sink", None, service_rate=40.0, threshold=100),),
-                        clusters=(ClusterSpec("cluster_1", 1, "sink", 50.0),))
+                        clusters=(ClusterSpec("cluster_1", 1, "sink"),))
     src = bursty_params(lam=50.0, b=0.2)
-    res = run_replication(topo, {"cluster_1": src},
-                          RunConfig(horizon_s=600.0, warmup_s=60.0), seed=3)
-    assert res.saturated
+    cfg = RunConfig(horizon_s=600.0, warmup_s=60.0)
+    assert run_replication(topo, src, cfg, seed=3).saturated
+    # the sink's own source (50/s) stays under its 60/s; with the relay's it does not
+    relayed = TopologySpec(nodes=(NodeSpec("relay_1", "sink", 100.0, 100),
+                                  NodeSpec("sink", None, 60.0, 100)),
+                           clusters=(ClusterSpec("cluster_1", 1, "relay_1"),
+                                     ClusterSpec("cluster_2", 1, "sink")))
+    assert relayed.sources_through("sink") == 2
+    assert run_replication(relayed, src, cfg, seed=3).saturated
+    assert not run_replication(relayed, bursty_params(lam=20.0, b=0.2), cfg, seed=3).saturated
 
 
 def test_sink_first_listing_is_refused():
     # nodes are served in the order listed, so a parent before its children is an error
     topo = wb.build_case2(1, 50.0, 0.5)
     sink_first = TopologySpec(nodes=topo.nodes[-1:] + topo.nodes[:-1], clusters=topo.clusters)
-    sources = {c.cluster_id: bursty_params(50.0, 1, b=0.5) for c in topo.clusters}
+    src = bursty_params(50.0, 1, b=0.5)
     with pytest.raises(wb.ParameterError, match="not a tree"):
-        run_replication(sink_first, sources, RunConfig(horizon_s=600.0, warmup_s=60.0), seed=1)
+        run_replication(sink_first, src, RunConfig(horizon_s=600.0, warmup_s=60.0), seed=1)
 
 
 def test_case2_throughput_conservation_single_day():
     topo = wb.build_case2(1, 50.0, 0.5)
-    sources = {c.cluster_id: bursty_params(50.0, 1, b=0.6) for c in topo.clusters}
-    res = run_replication(topo, sources, RunConfig(horizon_s=14_400.0, warmup_s=3_600.0),
+    src = bursty_params(50.0, 1, b=0.6)
+    res = run_replication(topo, src, RunConfig(horizon_s=14_400.0, warmup_s=3_600.0),
                           seed=8)
     sink_thr = res.per_node["sink"].throughput_pps
     child_thr = (res.per_cluster["cluster_1"].throughput_pps
@@ -285,7 +291,7 @@ def test_merge_ties_go_to_the_earlier_input():
     # time occurs twice; the stable merge puts source 0 first each time
     topo = _star(n=2)
     src = bursty_params(lam=50.0, n=2, b=0.0)
-    st = dict(simulate(topo, {"cluster_1": src},
+    st = dict(simulate(topo, src,
                        RunConfig(horizon_s=600.0, warmup_s=0.0, trace=True), seed=1))["sink"]
     first = np.flatnonzero(st.arrive[1:] == st.arrive[:-1])
     assert first.size == 15_000
@@ -329,7 +335,7 @@ def test_multi_key_merge_puts_the_earlier_input_first_on_ties(seed, data):
 def test_fifo_order_preserved_in_replication():
     topo = _star()
     src = bursty_params(b=0.8)
-    st = dict(simulate(topo, {"cluster_1": src},
+    st = dict(simulate(topo, src,
                        RunConfig(horizon_s=3600.0, warmup_s=100.0), seed=12))["sink"]
     assert np.all(np.diff(st.depart) >= 0)
     assert np.all(st.depart > st.arrive)
@@ -348,7 +354,7 @@ def test_overflow_busy_period_threshold_one():
 def test_overflow_unreachable_threshold_is_zero():
     topo = _star(B=10**9)
     src = bursty_params(b=0.5)
-    res = run_replication(topo, {"cluster_1": src},
+    res = run_replication(topo, src,
                           RunConfig(horizon_s=3600.0, warmup_s=100.0), seed=21)
     assert res.per_node["sink"].overflow_prob == 0.0
 
@@ -386,7 +392,7 @@ def test_overflow_equals_packets_seen_count_on_replications(case):
         topo, src = _star(n=2), bursty_params(n=2, b=0.0)
     else:
         topo, src = wb.build_case3(1, 50.0), bursty_params(b=0.9)
-    states = dict(simulate(topo, {c.cluster_id: src for c in topo.clusters},
+    states = dict(simulate(topo, src,
                            RunConfig(horizon_s=600.0, warmup_s=60.0), seed=5))
     for node in states.values():
         n, mask = node.arrive.size, node.created > 60.0
@@ -404,13 +410,39 @@ def test_overflow_mm1_geometric_tail():
     src = bursty_params(b=0.0, mode=EMISSION_POISSON)
     estimates = []
     for day in range(4):
-        res = run_replication(topo, {"cluster_1": src},
+        res = run_replication(topo, src,
                               RunConfig(horizon_s=14_400.0, warmup_s=1_000.0),
                               seed=derive_seed(1001, day))
         estimates.append(res.per_node["sink"].overflow_prob)
     estimates = np.asarray(estimates)
     se = estimates.std(ddof=1) / math.sqrt(estimates.size)
     assert abs(estimates.mean() - 0.5**5) <= 3.0 * se + 1e-4
+
+
+@pytest.mark.parametrize("n", [1, 4])
+@pytest.mark.parametrize("case", [2, 3])
+def test_trees_at_b0_are_jackson_networks(case, n):
+    # poisson mode at b=0: each cluster sends a Poisson stream, every relay is
+    # M/M/1 and (Burke) passes a Poisson stream on, and service is re-drawn at
+    # each hop, so every queue at rho=.5 has W = 1/(v - lambda) and
+    # P(seen >= B) = rho^B, and a cluster's W is the sum of its path's hops
+    topo = (wb.build_case2 if case == 2 else wb.build_case3)(n, 50.0, 0.5, threshold=10)
+    src = bursty_params(50.0, n, b=0.0, mode=EMISSION_POISSON)
+    days = [run_replication(topo, src, RunConfig(horizon_s=20_000.0, warmup_s=2_000.0),
+                            seed=derive_seed(2024, case, n, day)) for day in range(8)]
+    hop_w = {"relay_1": 0.02, "relay_2": 0.02, "sink": 0.01 if case == 2 else 1.0 / 150.0}
+
+    def check(values, exact):
+        values = np.asarray(values)
+        se = values.std(ddof=1) / math.sqrt(values.size)
+        assert se < 0.1 * exact and abs(values.mean() - exact) < 4.0 * se
+
+    for node_id, w in hop_w.items():
+        check([day.per_node[node_id].mpd_s for day in days], w)
+        check([day.per_node[node_id].overflow_prob for day in days], 0.5**10)
+    for c in topo.clusters:
+        path_w = hop_w[c.attach] + (hop_w["sink"] if c.attach != "sink" else 0.0)
+        check([day.per_cluster[c.cluster_id].e2e_delay_s for day in days], path_w)
 
 
 # ----------------------------------------------------------------- traces
@@ -426,9 +458,9 @@ def _packet_hops(trace):
 
 def test_trace_timestamps_and_end_to_end_consistency():
     topo = wb.build_case2(1, 2.0, 0.5)
-    sources = {c.cluster_id: bursty_params(2.0, 1, n_p=4.0, b=0.5) for c in topo.clusters}
+    src = bursty_params(2.0, 1, n_p=4.0, b=0.5)
     cfg = RunConfig(horizon_s=300.0, warmup_s=10.0, trace=True)
-    res = run_replication(topo, sources, cfg, seed=77)
+    res = run_replication(topo, src, cfg, seed=77)
     tr = res.trace
     assert tr["packet_id"]
     hops = _packet_hops(tr)
@@ -452,9 +484,9 @@ def test_trace_timestamps_and_end_to_end_consistency():
 
 def test_trace_columns_contract():
     topo = wb.build_case2(2, 2.0, 0.5)
-    sources = {c.cluster_id: bursty_params(2.0, 2, n_p=4.0, b=0.5) for c in topo.clusters}
+    src = bursty_params(2.0, 2, n_p=4.0, b=0.5)
     cfg = RunConfig(horizon_s=300.0, warmup_s=10.0, trace=True)
-    res = run_replication(topo, sources, cfg, seed=21)
+    res = run_replication(topo, src, cfg, seed=21)
     tr = res.trace
     assert tuple(tr) == TRACE_COLUMNS
     assert {len(column) for column in tr.values()} == {len(tr["packet_id"])}
@@ -474,7 +506,7 @@ def test_trace_csv_roundtrip(tmp_path):
     topo = _star(lam=1.0, rho=0.25)
     src = bursty_params(lam=1.0, n_p=2.0, b=0.5)
     cfg = RunConfig(horizon_s=60.0, warmup_s=5.0, trace=True)
-    res = run_replication(topo, {"cluster_1": src}, cfg, seed=5)
+    res = run_replication(topo, src, cfg, seed=5)
     out = tmp_path / "trace.csv"
     write_trace_csv(res.trace, out)
     lines = out.read_text().splitlines()
@@ -507,17 +539,15 @@ def test_time_average_in_system_equals_min_max_form(n, seed, data):
 # ----------------------------------------------------------------- memory
 
 def _case3_b09():
-    topo = wb.build_case3(1, 50.0)
-    src = bursty_params(b=0.9)
-    return topo, {c.cluster_id: src for c in topo.clusters}
+    return wb.build_case3(1, 50.0), bursty_params(b=0.9)
 
 
 def test_relay_states_are_freed_once_the_sink_has_merged_them(monkeypatch):
-    topo, sources = _case3_b09()
+    topo, src = _case3_b09()
     cfg = RunConfig(horizon_s=600.0, warmup_s=60.0)
-    assert list(dict(simulate(topo, sources, cfg, seed=5))) == ["relay_1", "relay_2", "sink"]
+    assert list(dict(simulate(topo, src, cfg, seed=5))) == ["relay_1", "relay_2", "sink"]
 
-    states = simulate(topo, sources, cfg, seed=5)
+    states = simulate(topo, src, cfg, seed=5)
     relays = [weakref.ref(state) for _, state in (next(states), next(states))]
     sink_id, _ = next(states)
     gc.collect()
@@ -541,7 +571,7 @@ def test_relay_states_are_freed_once_the_sink_has_merged_them(monkeypatch):
 
     monkeypatch.setattr(simcore, "fifo_departures", fifo_spy)
     monkeypatch.setattr(simcore, "_node_metrics", metrics_spy)
-    run_replication(topo, sources, cfg, seed=5)
+    run_replication(topo, src, cfg, seed=5)
     assert len(alive) == 10 and not any(alive)
 
 
@@ -550,10 +580,10 @@ def test_case3_replication_peak_memory_per_sink_arrival():
     # every relay trajectory stayed alive through the sink, and 42.1 B once
     # replication streams through the tree (the sink's metrics are the
     # peak); a merge that kept its inputs to the end reached 47.3 B
-    topo, sources = _case3_b09()
+    topo, src = _case3_b09()
     tracemalloc.start()
     try:
-        res = run_replication(topo, sources, RunConfig(horizon_s=3600.0, warmup_s=600.0),
+        res = run_replication(topo, src, RunConfig(horizon_s=3600.0, warmup_s=600.0),
                               seed=1729)
         _, peak = tracemalloc.get_traced_memory()
     finally:

@@ -15,16 +15,17 @@ def test_build_star_depth_and_utilization():
     topo = build_star(1, 50.0, 0.5, threshold=1000)
     assert validate_topology(topo) == []
     assert [n.node_id for n in topo.nodes] == ["sink"] and topo.sink_id == "sink"
-    assert topo.clusters_at("sink") == list(topo.clusters)
+    assert [c.attach for c in topo.clusters] == ["sink"]
     sink = topo.nodes[-1]
-    assert topo.offered_load("sink") / sink.service_rate == pytest.approx(0.5)
+    assert 50.0 * topo.sources_through("sink") / sink.service_rate == pytest.approx(0.5)
 
 
 def test_build_star_many_sources_share_rate():
     topo = build_star(10, 50.0, 0.5)
     c = topo.clusters[0]
-    assert c.n_sources == 10
-    assert c.arrival_rate / c.n_sources == pytest.approx(5.0)  # K per source
+    assert c.n_sources == topo.sources_through("sink") == 10
+    # the ten sources share lambda = 50, so the sink rate does not grow with N
+    assert topo.nodes[-1].service_rate == pytest.approx(100.0)
 
 
 def test_build_star_rejects_zero_rate():
@@ -75,10 +76,10 @@ def test_build_case2_rates_and_depth():
     assert nodes["relay_1"].service_rate == pytest.approx(100.0)
     assert nodes["relay_2"].service_rate == pytest.approx(100.0)
     assert nodes["sink"].service_rate == pytest.approx(200.0)
-    # utilization identity rho = load/v holds exactly at every server
+    # utilization identity rho = K*sources/v holds exactly at every server (K = 50)
     for node_id in ("relay_1", "relay_2", "sink"):
         v = nodes[node_id].service_rate
-        assert topo.offered_load(node_id) == 0.5 * v
+        assert 50.0 * topo.sources_through(node_id) == 0.5 * v
 
 
 def test_build_case2_any_n_keeps_depth():
@@ -86,8 +87,8 @@ def test_build_case2_any_n_keeps_depth():
         topo = build_case2(n, 50.0, 0.5)
         assert [node.node_id for node in topo.nodes] == ["relay_1", "relay_2", "sink"]
         assert validate_topology(topo) == []
-        for c in topo.clusters:
-            assert c.arrival_rate / c.n_sources == pytest.approx(50.0 / n)
+        assert [c.n_sources for c in topo.clusters] == [n, n]
+        assert topo.sources_through("sink") == 2 * n
 
 
 def test_build_case3_rates_and_paths():
@@ -96,13 +97,13 @@ def test_build_case3_rates_and_paths():
     nodes = {n.node_id: n for n in topo.nodes}
     assert nodes["sink"].service_rate == pytest.approx(300.0)
     # direct cluster: one queue hop; relayed clusters: two
-    assert [c.cluster_id for c in topo.clusters_at("sink")] == ["cluster_3"]
-    assert [c.cluster_id for c in topo.clusters_at("relay_1")] == ["cluster_1"]
+    assert {c.cluster_id: c.attach for c in topo.clusters} == {
+        "cluster_1": "relay_1", "cluster_2": "relay_2", "cluster_3": "sink"}
     assert topo.children_of("sink") == ["relay_1", "relay_2"]
-    assert topo.offered_load("sink") == pytest.approx(150.0)
+    assert topo.sources_through("sink") == 3
     for node_id in ("relay_1", "relay_2", "sink"):
         v = nodes[node_id].service_rate
-        assert topo.offered_load(node_id) == 0.5 * v
+        assert 50.0 * topo.sources_through(node_id) == 0.5 * v
 
 
 def test_nodes_listed_children_before_parents():
@@ -128,7 +129,7 @@ def test_validate_detects_cycle():
         NodeSpec("relay_2", "relay_1", 100.0, 10),
         NodeSpec("sink", None, 100.0, 10),
     )
-    spec = TopologySpec(nodes=nodes, clusters=(ClusterSpec("cluster_1", 1, "relay_1", 5.0),))
+    spec = TopologySpec(nodes=nodes, clusters=(ClusterSpec("cluster_1", 1, "relay_1"),))
     issues = validate_topology(spec)
     assert any("not a tree" in i for i in issues)
 
@@ -136,7 +137,7 @@ def test_validate_detects_cycle():
 def test_validate_detects_bad_cluster_attachment():
     topo = build_star(1, 50.0, 0.5)
     broken = replace(topo, clusters=(
-        ClusterSpec("cluster_1", 1, "cluster_1", 50.0),))
+        ClusterSpec("cluster_1", 1, "cluster_1"),))
     assert any("cluster" in i for i in validate_topology(broken))
 
 
