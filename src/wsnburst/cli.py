@@ -95,16 +95,11 @@ def _cmd_analytic(args) -> int:
         return EXIT_OK
 
     table = limits_table(args.v, args.rho, args.law)
-    print(f"{'v':>10} {'rho':>8} {'law':>12} {'mpd_smooth_s':>14} "
-          f"{'D':>12} {'mpd_bulk_s':>14}")
-    print(f"{table['v']:>10.3f} {table['rho']:>8.3f} {table['law']:>12} "
-          f"{table['mpd_smooth_s']:>14.6f} {table['bulk_factor_D']:>12.6f} "
-          f"{table['mpd_bulk_s']:>14.6f}")
+    row = [value if key == "law" else fmt9(value) for key, value in table.items()]
+    print(" ".join(f"{cell:>14}" for cell in table))
+    print(" ".join(f"{cell:>14}" for cell in row))
     if args.csv:
-        write_csv(args.csv, ["v", "rho", "law", "mpd_smooth_s", "bulk_factor_D", "mpd_bulk_s"],
-                  [[fmt9(table["v"]), fmt9(table["rho"]), table["law"],
-                    fmt9(table["mpd_smooth_s"]), fmt9(table["bulk_factor_D"]),
-                    fmt9(table["mpd_bulk_s"])]])
+        write_csv(args.csv, list(table), [row])
     return EXIT_OK
 
 

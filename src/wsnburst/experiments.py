@@ -94,14 +94,11 @@ class SimConfig:
     n_p: float
     lambda_total: float
     rho: float
-    B: int
-    horizon_s: float
-    warmup_s: float
+    run: RunConfig                # horizon, warm-up, trace mode and B of every replication
     days: int
     seed: int
     out_dir: str
     emission_mode: str
-    trace: bool
     raw: dict = field(default_factory=dict, compare=False)
 
 
@@ -151,9 +148,10 @@ def config_from_dict(raw: dict) -> SimConfig:
                           f"got {list(n_list)}")
     grid = _check_fields(got.pop("b"), _GRID, "b.")
     b_values = tuple(_grid("b", grid["start"], grid["stop"], grid["step"]))
-    if not got["warmup_s"] < got["horizon_s"]:
-        raise ConfigError(f"field 'warmup_s' must be < horizon_s={got['horizon_s']}, "
-                          f"got {got['warmup_s']}")
+    try:
+        run = RunConfig(got.pop("horizon_s"), got.pop("warmup_s"), got.pop("trace"), got.pop("B"))
+    except ParameterError as exc:   # _FIELDS holds B >= 1: only warmup_s >= horizon_s is left
+        raise ConfigError(f"field 'warmup_s': {exc}") from None
     shape = dict(alpha=got.pop("alpha"), theta=got.pop("theta"))
     try:
         on = DistKind.parse(got.pop("on_kind"), **shape)
@@ -163,7 +161,7 @@ def config_from_dict(raw: dict) -> SimConfig:
         bulk_law_for(on, got["n_p"])
     except ParameterError as exc:
         raise ConfigError(f"fields 'on_kind'={on.label()!r}, 'n_p'={got['n_p']}: {exc}") from None
-    return SimConfig(n_list=n_list, b_values=b_values, on=on,
+    return SimConfig(n_list=n_list, b_values=b_values, on=on, run=run,
                      off=DistKind.parse(got.pop("off_kind"), **shape), raw=dict(raw), **got)
 
 
@@ -198,7 +196,7 @@ def _checked(name: str, value, spec: _Field):
 def build_topology(config: SimConfig, n: int) -> TopologySpec:
     # the builders are looked up at call time, so a wrapped builder is the one called
     builder = (build_star, build_case2, build_case3)[config.case - 1]
-    return builder(n, config.lambda_total, config.rho, threshold=config.B)
+    return builder(n, config.lambda_total, config.rho)
 
 
 SUMMARY_METRICS = ["mpd_s", "e2e_delay_s", "throughput_pps", "overflow_prob",
@@ -242,7 +240,8 @@ def _cell(value) -> str:
 
 
 def fmt9(x: Optional[float]) -> str:
-    """Fixed-notation decimal with 9 significant digits (the CSV contract)."""
+    """Fixed-notation decimal with 9 significant digits (the CSV contract);
+    from 1e9 up, the 9 digits are followed by zeros."""
     if x is None:
         return ""
     x = float(x)
@@ -252,9 +251,12 @@ def fmt9(x: Optional[float]) -> str:
         return "0.0"
     if math.isinf(x):
         return "inf" if x > 0 else "-inf"
-    # the exponent of the value rounded to 9 digits: 9.9999999996 -> 1e1
-    exponent = int(f"{x:.8e}".rpartition("e")[2])
-    return f"{x:.{max(0, 8 - exponent)}f}"
+    # the value rounded to 9 digits, and its exponent: 9.9999999996 -> 1.00000000e+01
+    mantissa, _, exponent = f"{x:.8e}".partition("e")
+    places = 8 - int(exponent)   # decimals after the point; below 0, zeros before it
+    if places < 0:
+        return mantissa.replace(".", "") + "0" * -places
+    return f"{x:.{places}f}"
 
 
 def row_seed(master: int, case: int, n: int, b: float, day: int) -> int:
@@ -271,9 +273,7 @@ def run_point(config: SimConfig, n: int, b: float, day: int) -> list[SweepRow]:
         topo = build_topology(config, n)
         source = derive_source_params(config.lambda_total, n, config.n_p, b, config.on,
                                       config.off, emission_mode=config.emission_mode)
-        run_cfg = RunConfig(horizon_s=config.horizon_s, warmup_s=config.warmup_s,
-                            trace=config.trace)
-        result = run_replication(topo, source, run_cfg, seed)
+        result = run_replication(topo, source, config.run, seed)
         if result.trace is not None:
             trace_dir = Path(config.out_dir) / "traces"
             trace_dir.mkdir(parents=True, exist_ok=True)

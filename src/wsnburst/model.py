@@ -173,10 +173,6 @@ class GeometricLaw:
             raise ParameterError(f"geometric burst-size mean must be finite and >= 1, "
                                  f"got {self.mean}")
 
-    def moments(self) -> tuple[float, float]:
-        """(E[L], E[L(L+1)/2])."""
-        return self.mean, self.mean * self.mean
-
     def sample_array(self, rng: np.random.Generator, n: int) -> np.ndarray:
         if self.mean == 1.0:
             return np.ones(n, dtype=np.int64)
@@ -229,11 +225,6 @@ class DeterministicLaw:
         if not 1 <= self.packets <= sys.float_info.max:   # compared exactly, never converted
             raise ParameterError(f"burst size must be >= 1 and a finite float, "
                                  f"got {self.packets}")
-
-    def moments(self) -> tuple[float, float]:
-        """(E[L], E[L(L+1)/2])."""
-        k = float(self.packets)
-        return k, k * (k + 1.0) / 2.0
 
     def sample_array(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return np.full(n, self.packets, dtype=np.int64)

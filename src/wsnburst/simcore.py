@@ -46,16 +46,20 @@ _TRACE_PAYLOAD = ("source", "pid", "size")   # per-arrival arrays carried in tra
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Per-replication horizon settings (seconds)."""
+    """Per-replication measurement settings: horizon and warm-up (seconds),
+    trace mode, and the overflow-counting threshold B of every queue."""
 
     horizon_s: float = 90_000.0   # 25 simulated hours
     warmup_s: float = 3_600.0     # statistics exclude the first hour
     trace: bool = False
+    threshold: int = 1000         # overflow_prob counts arrivals that find >= B packets
 
     def __post_init__(self):
         if not 0.0 <= self.warmup_s < self.horizon_s:
             raise ParameterError(
                 f"need 0 <= warmup_s < horizon_s, got {self.warmup_s} / {self.horizon_s}")
+        if self.threshold < 1:
+            raise ParameterError(f"threshold B must be >= 1, got {self.threshold}")
 
 
 @dataclass
@@ -250,7 +254,7 @@ def simulate(topo: TopologySpec, source: SourceParams,
             k = np.searchsorted(depart, horizon, "right")  # later ones never reach the parent
             pending[node.node_id] = {"times": depart[:k],
                                      **{key: merged[key][:k] for key in carried}}
-        yield node.node_id, NodeState(node_id=node.node_id, threshold=node.threshold,
+        yield node.node_id, NodeState(node_id=node.node_id, threshold=config.threshold,
                                       arrive=arrive, depart=depart, **merged)
         del arrive, depart, merged   # else they would pin this child while its parent merges
 

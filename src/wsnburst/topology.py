@@ -28,7 +28,6 @@ class NodeSpec:
     node_id: str
     parent: Optional[str]  # node_id of the queue it feeds; None at the sink
     service_rate: float    # packets/s
-    threshold: int         # overflow-counting threshold B
 
 
 @dataclass(frozen=True)
@@ -56,26 +55,22 @@ class TopologySpec:
         return own + sum(self.sources_through(child) for child in self.children_of(node_id))
 
 
-def build_star(n: int, lambda_cluster: float = 50.0, rho: float = 0.5, *,
-               threshold: int = 1000) -> TopologySpec:
+def build_star(n: int, lambda_cluster: float = 50.0, rho: float = 0.5) -> TopologySpec:
     """Case 1: one cluster of n sources -> sink."""
-    return _build_tree(("sink",), n, lambda_cluster, rho, threshold)
+    return _build_tree(("sink",), n, lambda_cluster, rho)
 
 
-def build_case2(n: int, lambda_cluster: float = 50.0, rho: float = 0.5, *,
-                threshold: int = 1000) -> TopologySpec:
+def build_case2(n: int, lambda_cluster: float = 50.0, rho: float = 0.5) -> TopologySpec:
     """Case 2: two clusters of n sources, each behind its own relay, then the sink."""
-    return _build_tree(("relay_1", "relay_2"), n, lambda_cluster, rho, threshold)
+    return _build_tree(("relay_1", "relay_2"), n, lambda_cluster, rho)
 
 
-def build_case3(n: int, lambda_cluster: float = 50.0, rho: float = 0.5, *,
-                threshold: int = 1000) -> TopologySpec:
+def build_case3(n: int, lambda_cluster: float = 50.0, rho: float = 0.5) -> TopologySpec:
     """Case 3: case 2 plus a third cluster attached straight to the sink."""
-    return _build_tree(("relay_1", "relay_2", "sink"), n, lambda_cluster, rho, threshold)
+    return _build_tree(("relay_1", "relay_2", "sink"), n, lambda_cluster, rho)
 
 
-def _build_tree(attach: tuple[str, ...], n: int, lambda_cluster: float, rho: float,
-                threshold: int) -> TopologySpec:
+def _build_tree(attach: tuple[str, ...], n: int, lambda_cluster: float, rho: float) -> TopologySpec:
     """cluster_i (n sources) -> attach[i-1]; every relay named in ``attach``
     feeds the sink.  For a cluster mean rate lambda_cluster, a relay serves
     lambda_cluster/rho and the sink len(attach)*lambda_cluster/rho, so every
@@ -86,11 +81,8 @@ def _build_tree(attach: tuple[str, ...], n: int, lambda_cluster: float, rho: flo
         raise ParameterError(f"lambda_cluster must be > 0, got {lambda_cluster}")
     if not 0.0 < rho < 1.0:
         raise ParameterError(f"utilization rho must be in (0,1), got {rho}")
-    if threshold < 1:
-        raise ParameterError(f"threshold must be >= 1, got {threshold}")
-    nodes = tuple(NodeSpec(r, "sink", lambda_cluster / rho, threshold)
-                  for r in attach if r != "sink")
-    nodes += (NodeSpec("sink", None, len(attach) * lambda_cluster / rho, threshold),)
+    nodes = tuple(NodeSpec(r, "sink", lambda_cluster / rho) for r in attach if r != "sink")
+    nodes += (NodeSpec("sink", None, len(attach) * lambda_cluster / rho),)
     clusters = tuple(ClusterSpec(f"cluster_{i}", n, attach=node_id)
                      for i, node_id in enumerate(attach, start=1))
     return TopologySpec(nodes=nodes, clusters=clusters)
@@ -123,6 +115,4 @@ def validate_topology(spec: TopologySpec) -> list[str]:
     for n in spec.nodes:
         if not n.service_rate > 0.0:
             issues.append(f"node {n.node_id} needs a positive service rate")
-        if n.threshold < 1:
-            issues.append(f"node {n.node_id} needs a threshold >= 1")
     return issues

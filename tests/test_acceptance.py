@@ -11,6 +11,7 @@ import math
 import subprocess
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -28,7 +29,7 @@ pytestmark = pytest.mark.acceptance
 EXP = DistKind.parse("exp")
 PARETO = DistKind.parse("pareto")
 TPT30 = DistKind.parse("tpt:30")
-DAY_CFG = RunConfig()              # 25 h horizon, 1 h warm-up
+DAY_CFG = RunConfig()              # 25 h horizon, 1 h warm-up, B = 1000
 MASTER = 1729                      # package default master seed
 B_GRID = [round(0.05 * k, 9) for k in range(1, 20)]           # 0.05 .. 0.95
 B_GRID_HIGH = [round(0.5 + 0.05 * k, 9) for k in range(10)]   # 0.50 .. 0.95
@@ -41,14 +42,13 @@ def _report(num: int, ok: bool, detail: str) -> bool:
 
 def _star_day(n, b, on_kind, off_kind, seed, *, lam=50.0, rho=0.5, n_p=50.0,
               B=1000, mode=EMISSION_CONST):
-    topo = wb.build_star(n, lam, rho, threshold=B)
+    topo = wb.build_star(n, lam, rho)
     src = derive_source_params(lam, n, n_p, b, on_kind, off_kind, emission_mode=mode)
-    return run_replication(topo, src, DAY_CFG, seed)
+    return run_replication(topo, src, replace(DAY_CFG, threshold=B), seed)
 
 
 def _case_day(case, b, seed, on_kind=EXP):
-    topo = (wb.build_case2(1, 50.0, 0.5, threshold=1000) if case == 2
-            else wb.build_case3(1, 50.0, 0.5, threshold=1000))
+    topo = wb.build_case2(1, 50.0, 0.5) if case == 2 else wb.build_case3(1, 50.0, 0.5)
     return run_replication(topo, derive_source_params(50.0, 1, 50.0, b, on_kind, EXP),
                            DAY_CFG, seed)
 
@@ -147,6 +147,13 @@ def test_criterion_04_bulk_approach():
 # ---------------------------------------------------------------- criterion 5
 
 def test_criterion_05_blowup_jump():
+    """The median mPD of ten 25 h days at b=.6 is at least 10 times that at
+    b=.4 (N=1, tpt:30) on at least 7 of 10 seed sets; the overflow past
+    B=1000 is at most 1e-9 at b=.4 and positive on average at b=.6.  These
+    medians describe a 25 h day, not the stationary mean: at b=.6 the
+    stationary W is 167.2 s, while ten 25 h days (poisson emission) have a
+    median of 3.8 s.  A day holds about 9e4 bursts and rarely reaches the
+    TPT branches that set W."""
     passing, ovf_low, ovf_high = 0, [], []
     ratios = []
     for master in range(1, 11):

@@ -17,6 +17,7 @@ from wsnburst.cli import main as cli_main
 from wsnburst.experiments import (ConfigError, blowup_table, config_from_dict,
                                   emit_plotdata, fmt9, limits_table, load_config,
                                   read_results_csv, run_point, run_sweep, summarize)
+from wsnburst.simcore import RunConfig
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads"
@@ -40,11 +41,11 @@ def write_config(tmp_path, payload, name="cfg.json"):
 def test_minimal_config_defaults(tmp_path):
     cfg = load_config(write_config(tmp_path, MINIMAL))
     assert (cfg.off.kind, cfg.n_p, cfg.lambda_total, cfg.rho) == ("exp", 50.0, 50.0, 0.5)
-    assert (cfg.B, cfg.horizon_s, cfg.warmup_s, cfg.days) == (1000, 90_000.0, 3_600.0, 10)
+    assert (cfg.run, cfg.days) == (RunConfig(90_000.0, 3_600.0, False, 1000), 10)
     assert (cfg.seed, cfg.out_dir, cfg.emission_mode) == (1729, "results", "const")
-    assert (cfg.on.alpha, cfg.on.theta, cfg.trace) == (1.4, 0.5, False)
-    assert all(type(x) is float for x in (cfg.n_p, cfg.lambda_total, cfg.rho, cfg.horizon_s,
-                                          cfg.warmup_s, cfg.on.alpha, cfg.on.theta))
+    assert (cfg.on.alpha, cfg.on.theta) == (1.4, 0.5)
+    assert all(type(x) is float for x in (cfg.n_p, cfg.lambda_total, cfg.rho, cfg.run.horizon_s,
+                                          cfg.run.warmup_s, cfg.on.alpha, cfg.on.theta))
     assert len(cfg.b_values) == 19
     assert cfg.b_values[0] == 0.05 and cfg.b_values[-1] == 0.95
 
@@ -288,6 +289,10 @@ def test_row_seed_recorded_and_rederivable(tmp_path):
     (0.0009765625, "0.000976562500"),
     (123456789.0, "123456789"),
     (9.9999999996, "10.0000000"),
+    (999_999_999.5, "1000000000"),
+    (1234567891234.5, "1234567890000"),
+    (-123456789012.0, "-123456789000"),
+    pytest.param(1e200, "1" + "0" * 200, id="1e200"),
     (None, ""),
 ])
 def test_fmt9_fixed_notation(x, expected):
@@ -312,6 +317,14 @@ def test_fmt9_writes_nine_significant_digits(magnitude, negative):
     text = fmt9(x)
     digits = text.lstrip("-").replace(".", "").lstrip("0")
     assert len(digits) == 9, text
+    assert math.isclose(float(text), x, rel_tol=5e-9)
+
+
+@given(st.floats(min_value=1e9, max_value=1e300), st.booleans())
+def test_fmt9_keeps_nine_digits_from_1e9_up(magnitude, negative):
+    x = -magnitude if negative else magnitude
+    text = fmt9(x)
+    assert text.lstrip("-").isdigit() and len(text.lstrip("-").rstrip("0")) <= 9, text
     assert math.isclose(float(text), x, rel_tol=5e-9)
 
 
@@ -393,6 +406,16 @@ def test_cli_limits_prints_values(capsys):
                      "--law", "geom:20"]) == 0
     out = capsys.readouterr().out
     assert "0.100000" in out and "2.000000" in out
+
+
+def test_cli_limits_writes_huge_values_with_nine_digits(tmp_path, capsys):
+    # D of geom:1e200 is its mean, written as 9 digits and zeros, not every binary digit
+    path = tmp_path / "limits.csv"
+    assert cli_main(["analytic", "limits", "--v", "20", "--rho", "0.5",
+                     "--law", "geom:1e200", "--csv", str(path)]) == 0
+    row = next(csv.DictReader(path.read_text().splitlines()))
+    assert row["bulk_factor_D"] == "1" + "0" * 200
+    assert row["bulk_factor_D"] in capsys.readouterr().out.split()
 
 
 @pytest.mark.parametrize("args, match", [

@@ -5,6 +5,7 @@ import math
 import tracemalloc
 import types
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,10 +25,6 @@ from wsnburst.topology import ClusterSpec, NodeSpec, TopologySpec
 from reference import fifo_closed_form, fifo_event_loop, stable_merge, time_average_min_max
 
 EXP = DistKind.parse("exp")
-
-
-def _star(n=1, lam=50.0, rho=0.5, B=1000):
-    return wb.build_star(n, lam, rho, threshold=B)
 
 
 def bursty_params(lam=50.0, n=1, n_p=50.0, b=0.5, on="exp", off="exp", mode=EMISSION_CONST):
@@ -153,7 +150,7 @@ def test_emission_partial_burst_cut_at_horizon():
 # --------------------------------------------------------- run_replication
 
 def test_zero_sources_give_zero_metrics():
-    topo = TopologySpec(nodes=(NodeSpec("sink", None, service_rate=10.0, threshold=5),),
+    topo = TopologySpec(nodes=(NodeSpec("sink", None, service_rate=10.0),),
                         clusters=(ClusterSpec("cluster_1", 0, "sink"),))
     res = run_replication(topo, bursty_params(), RunConfig(horizon_s=100.0, warmup_s=10.0),
                           seed=1)
@@ -164,7 +161,7 @@ def test_zero_sources_give_zero_metrics():
 
 def test_empty_cluster_beside_a_live_one():
     # the empty stream of a source-less cluster merges like any other input
-    topo = TopologySpec(nodes=(NodeSpec("sink", None, service_rate=100.0, threshold=10),),
+    topo = TopologySpec(nodes=(NodeSpec("sink", None, service_rate=100.0),),
                         clusters=(ClusterSpec("cluster_1", 0, "sink"),
                                   ClusterSpec("cluster_2", 1, "sink")))
     res = run_replication(topo, bursty_params(),
@@ -180,7 +177,7 @@ def test_cluster_counts_equal_bincount(case):
     if case == "case3":
         topo, src = wb.build_case3(2, 50.0), bursty_params(n=2, b=0.9)
     else:
-        topo = TopologySpec(nodes=(NodeSpec("sink", None, service_rate=100.0, threshold=10),),
+        topo = TopologySpec(nodes=(NodeSpec("sink", None, service_rate=100.0),),
                             clusters=(ClusterSpec("cluster_1", 0, "sink"),
                                       ClusterSpec("cluster_2", 2, "sink"),
                                       ClusterSpec("cluster_3", 0, "sink")))
@@ -201,7 +198,7 @@ def test_cluster_counts_equal_bincount(case):
 
 
 def test_mm1_poisson_validation_mode_short():
-    topo = _star(B=10)
+    topo = wb.build_star(1)
     src = bursty_params(b=0.0, mode=EMISSION_POISSON)
     res = run_replication(topo, src,
                           RunConfig(horizon_s=7200.0, warmup_s=600.0), seed=4242)
@@ -214,7 +211,7 @@ def test_near_smooth_limit_single_day():
     # at small b the poisson emission mode approaches the M/M/1 value
     # (1/v)/(1-rho); evenly spaced constant-rate emission is smoother than
     # Poisson and sits strictly below it (D/M/1-like)
-    topo = _star()
+    topo = wb.build_star(1)
     poisson = bursty_params(b=0.05, mode=EMISSION_POISSON)
     res = run_replication(topo, poisson, RunConfig(), seed=99)
     assert res.per_node["sink"].mpd_s == pytest.approx(0.02, rel=0.15)
@@ -225,7 +222,7 @@ def test_near_smooth_limit_single_day():
 
 
 def test_replication_bitwise_deterministic():
-    topo = _star()
+    topo = wb.build_star(1)
     src = bursty_params(b=0.6, on="tpt:10")
     cfg = RunConfig(horizon_s=7200.0, warmup_s=600.0)
     a = run_replication(topo, src, cfg, seed=77)
@@ -251,14 +248,14 @@ def test_adding_a_cluster_does_not_perturb_other_streams():
 
 
 def test_saturated_flag_on_overloaded_node():
-    topo = TopologySpec(nodes=(NodeSpec("sink", None, service_rate=40.0, threshold=100),),
+    topo = TopologySpec(nodes=(NodeSpec("sink", None, service_rate=40.0),),
                         clusters=(ClusterSpec("cluster_1", 1, "sink"),))
     src = bursty_params(lam=50.0, b=0.2)
     cfg = RunConfig(horizon_s=600.0, warmup_s=60.0)
     assert run_replication(topo, src, cfg, seed=3).saturated
     # the sink's own source (50/s) stays under its 60/s; with the relay's it does not
-    relayed = TopologySpec(nodes=(NodeSpec("relay_1", "sink", 100.0, 100),
-                                  NodeSpec("sink", None, 60.0, 100)),
+    relayed = TopologySpec(nodes=(NodeSpec("relay_1", "sink", 100.0),
+                                  NodeSpec("sink", None, 60.0)),
                            clusters=(ClusterSpec("cluster_1", 1, "relay_1"),
                                      ClusterSpec("cluster_2", 1, "sink")))
     assert relayed.sources_through("sink") == 2
@@ -289,7 +286,7 @@ def test_case2_throughput_conservation_single_day():
 def test_merge_ties_go_to_the_earlier_input():
     # b=0 const emission: both sources emit at k/K, so every sink arrival
     # time occurs twice; the stable merge puts source 0 first each time
-    topo = _star(n=2)
+    topo = wb.build_star(2)
     src = bursty_params(lam=50.0, n=2, b=0.0)
     st = dict(simulate(topo, src,
                        RunConfig(horizon_s=600.0, warmup_s=0.0, trace=True), seed=1))["sink"]
@@ -333,7 +330,7 @@ def test_multi_key_merge_puts_the_earlier_input_first_on_ties(seed, data):
 
 
 def test_fifo_order_preserved_in_replication():
-    topo = _star()
+    topo = wb.build_star(1)
     src = bursty_params(b=0.8)
     st = dict(simulate(topo, src,
                        RunConfig(horizon_s=3600.0, warmup_s=100.0), seed=12))["sink"]
@@ -352,11 +349,31 @@ def test_overflow_busy_period_threshold_one():
 
 
 def test_overflow_unreachable_threshold_is_zero():
-    topo = _star(B=10**9)
+    topo = wb.build_star(1)
     src = bursty_params(b=0.5)
     res = run_replication(topo, src,
-                          RunConfig(horizon_s=3600.0, warmup_s=100.0), seed=21)
+                          RunConfig(horizon_s=3600.0, warmup_s=100.0, threshold=10**9), seed=21)
     assert res.per_node["sink"].overflow_prob == 0.0
+
+
+def test_run_config_refuses_threshold_below_one():
+    # B is a setting of the run, checked here and nowhere in the tree
+    RunConfig(threshold=1)
+    with pytest.raises(wb.ParameterError, match="threshold B must be >= 1, got 0"):
+        RunConfig(threshold=0)
+
+
+def test_overflow_counts_against_the_run_configs_threshold():
+    # one trajectory, measured against each B: the run's B is the one counted
+    topo, src = wb.build_star(1), bursty_params(b=0.8)
+    config = RunConfig(horizon_s=3600.0, warmup_s=100.0)
+    (_, state), = simulate(topo, src, config, seed=12)
+    probs = []
+    for B in (1, 10):
+        res = run_replication(topo, src, replace(config, threshold=B), seed=12)
+        probs.append(estimate_overflow(replace(state, threshold=B), state.created > 100.0))
+        assert res.per_node["sink"].overflow_prob == probs[-1]
+    assert probs[0] > probs[1] > 0.0
 
 
 @given(n=st.integers(1, 300), seed=st.integers(0, 2**32 - 1),
@@ -389,7 +406,7 @@ def test_overflow_shifted_compare_is_exact(n, seed, load, on_grid, warm_frac, da
 def test_overflow_equals_packets_seen_count_on_replications(case):
     # star N=2 b=0 const: every sink arrival time occurs twice
     if case == "star":
-        topo, src = _star(n=2), bursty_params(n=2, b=0.0)
+        topo, src = wb.build_star(2), bursty_params(n=2, b=0.0)
     else:
         topo, src = wb.build_case3(1, 50.0), bursty_params(b=0.9)
     states = dict(simulate(topo, src,
@@ -406,12 +423,12 @@ def test_overflow_equals_packets_seen_count_on_replications(case):
 
 def test_overflow_mm1_geometric_tail():
     # PASTA oracle: an arrival sees >= B in system with probability rho^B
-    topo = _star(B=5)
+    topo = wb.build_star(1)
     src = bursty_params(b=0.0, mode=EMISSION_POISSON)
     estimates = []
     for day in range(4):
         res = run_replication(topo, src,
-                              RunConfig(horizon_s=14_400.0, warmup_s=1_000.0),
+                              RunConfig(horizon_s=14_400.0, warmup_s=1_000.0, threshold=5),
                               seed=derive_seed(1001, day))
         estimates.append(res.per_node["sink"].overflow_prob)
     estimates = np.asarray(estimates)
@@ -426,9 +443,10 @@ def test_trees_at_b0_are_jackson_networks(case, n):
     # M/M/1 and (Burke) passes a Poisson stream on, and service is re-drawn at
     # each hop, so every queue at rho=.5 has W = 1/(v - lambda) and
     # P(seen >= B) = rho^B, and a cluster's W is the sum of its path's hops
-    topo = (wb.build_case2 if case == 2 else wb.build_case3)(n, 50.0, 0.5, threshold=10)
+    topo = (wb.build_case2 if case == 2 else wb.build_case3)(n, 50.0, 0.5)
     src = bursty_params(50.0, n, b=0.0, mode=EMISSION_POISSON)
-    days = [run_replication(topo, src, RunConfig(horizon_s=20_000.0, warmup_s=2_000.0),
+    config = RunConfig(horizon_s=20_000.0, warmup_s=2_000.0, threshold=10)
+    days = [run_replication(topo, src, config,
                             seed=derive_seed(2024, case, n, day)) for day in range(8)]
     hop_w = {"relay_1": 0.02, "relay_2": 0.02, "sink": 0.01 if case == 2 else 1.0 / 150.0}
 
@@ -503,7 +521,7 @@ def test_trace_columns_contract():
 
 
 def test_trace_csv_roundtrip(tmp_path):
-    topo = _star(lam=1.0, rho=0.25)
+    topo = wb.build_star(1, 1.0, 0.25)
     src = bursty_params(lam=1.0, n_p=2.0, b=0.5)
     cfg = RunConfig(horizon_s=60.0, warmup_s=5.0, trace=True)
     res = run_replication(topo, src, cfg, seed=5)

@@ -12,7 +12,7 @@ BUILDERS = pytest.mark.parametrize("builder", [build_star, build_case2, build_ca
 
 
 def test_build_star_depth_and_utilization():
-    topo = build_star(1, 50.0, 0.5, threshold=1000)
+    topo = build_star(1, 50.0, 0.5)
     assert validate_topology(topo) == []
     assert [n.node_id for n in topo.nodes] == ["sink"] and topo.sink_id == "sink"
     assert [c.attach for c in topo.clusters] == ["sink"]
@@ -34,18 +34,16 @@ def test_build_star_rejects_zero_rate():
 
 
 def test_build_star_refuses_bad_sink():
-    build_star(1, 50.0, 0.5, threshold=1000)
+    build_star(1, 50.0, 0.5)
     with pytest.raises(ParameterError, match="utilization"):
-        build_star(1, 50.0, 1.0, threshold=1000)   # rho = 1
+        build_star(1, 50.0, 1.0)   # rho = 1
     with pytest.raises(ParameterError, match="utilization"):
-        build_star(1, 50.0, 0.0, threshold=1000)   # no service rate
-    with pytest.raises(ParameterError, match="threshold"):
-        build_star(1, 50.0, 0.5, threshold=0)
+        build_star(1, 50.0, 0.0)   # no service rate
 
 
 @BUILDERS
 def test_builders_refuse_bad_inputs(builder):
-    assert validate_topology(builder(1, 50.0, 0.5, threshold=1)) == []
+    assert validate_topology(builder(1, 50.0, 0.5)) == []
     for args, match in [((0, 50.0, 0.5), "n must be >= 1"),
                         ((1, 0.0, 0.5), "lambda_cluster must be > 0"),
                         ((1, -50.0, 0.5), "lambda_cluster must be > 0"),
@@ -53,8 +51,6 @@ def test_builders_refuse_bad_inputs(builder):
                         ((1, 50.0, 1.0), "rho must be in")]:
         with pytest.raises(ParameterError, match=match):
             builder(*args)
-    with pytest.raises(ParameterError, match="threshold must be >= 1"):
-        builder(1, 50.0, 0.5, threshold=0)
 
 
 @BUILDERS
@@ -118,16 +114,16 @@ def test_nodes_listed_children_before_parents():
 def test_validate_detects_multiple_sinks():
     topo = build_star(1, 50.0, 0.5)
     broken = replace(topo, nodes=topo.nodes + (
-        NodeSpec("sink2", None, service_rate=10.0, threshold=10),))
+        NodeSpec("sink2", None, service_rate=10.0),))
     issues = validate_topology(broken)
     assert any("sink" in i for i in issues)
 
 
 def test_validate_detects_cycle():
     nodes = (
-        NodeSpec("relay_1", "relay_2", 100.0, 10),
-        NodeSpec("relay_2", "relay_1", 100.0, 10),
-        NodeSpec("sink", None, 100.0, 10),
+        NodeSpec("relay_1", "relay_2", 100.0),
+        NodeSpec("relay_2", "relay_1", 100.0),
+        NodeSpec("sink", None, 100.0),
     )
     spec = TopologySpec(nodes=nodes, clusters=(ClusterSpec("cluster_1", 1, "relay_1"),))
     issues = validate_topology(spec)
