@@ -21,7 +21,9 @@ find at least B packets in system, ``depart[i-B] > arrive[i]``.
 from __future__ import annotations
 
 import csv
+import ctypes
 import math
+import os
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
@@ -42,6 +44,28 @@ MEAN_PACKET_BYTES = 100.0  # recorded on traces only; service is drawn per hop
 TRACE_COLUMNS = ("packet_id", "source_id", "cluster_id", "created_at",
                  "hop_node", "arrive", "depart", "size_bytes")
 _TRACE_PAYLOAD = ("source", "pid", "size")   # per-arrival arrays carried in trace mode
+
+# glibc mallopt (param, value): never trim the heap top (2 GiB - 1, the largest
+# int), pad each heap growth by 256 MiB, and serve blocks below 256 MiB from the
+# heap, so the multi-MB temporaries a replication frees are reused by the next
+# one instead of being unmapped and faulted back in
+_MALLOPT = ((-1, (1 << 31) - 1), (-2, 256 << 20), (-3, 256 << 20))
+
+
+def _keep_heap() -> None:
+    """Apply ``_MALLOPT`` through ctypes; a no-op on any libc but glibc."""
+    try:
+        if not (os.confstr("CS_GNU_LIBC_VERSION") or "").startswith("glibc"):
+            return
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, ValueError, OSError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    for param, value in _MALLOPT:
+        mallopt(param, value)
+
+
+_keep_heap()
 
 
 @dataclass(frozen=True)

@@ -2,10 +2,14 @@
 replication metrics, determinism, conservation, traces, memory."""
 import gc
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import types
 import weakref
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -607,3 +611,62 @@ def test_case3_replication_peak_memory_per_sink_arrival():
     finally:
         tracemalloc.stop()
     assert peak / res.per_node["sink"].arrivals_total < 46.0
+
+
+_GLIBC = (os.confstr("CS_GNU_LIBC_VERSION") or "").startswith("glibc")
+
+_FAULTS_PER_REPLICATION = """
+import resource
+import wsnburst as wb
+from wsnburst.model import EMISSION_CONST, DistKind, derive_source_params
+from wsnburst.simcore import RunConfig, run_replication
+exp = DistKind.parse("exp")
+topo, src = wb.build_case3(1, 50.0), derive_source_params(50.0, 1, 50.0, 0.9, exp, exp,
+                                                          emission_mode=EMISSION_CONST)
+for _ in range(3):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    run_replication(topo, src, RunConfig(horizon_s=3600.0, warmup_s=600.0), seed=1729)
+    print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(not _GLIBC, reason="the heap settings apply to glibc only")
+def test_repeated_replications_reuse_the_heap():
+    # a fresh process's third one-hour case-3 day at b=.9 took 6 738 minor
+    # faults while glibc trimmed and unmapped the freed temporaries, and 0
+    # with the settings simcore applies at import
+    env = dict(os.environ, PYTHONPATH=str(Path(wb.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", _FAULTS_PER_REPLICATION], env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    faults = [int(line) for line in proc.stdout.split()]
+    assert len(faults) == 3 and faults[2] < 500, faults
+
+
+def _refuse_cdll(*args):
+    raise AssertionError("CDLL must not be loaded off glibc")
+
+
+@pytest.mark.parametrize("confstr", [None, ValueError("unknown name"), "musl 1.2.4"],
+                         ids=["no-confstr", "confstr-raises", "musl"])
+def test_keep_heap_is_a_no_op_off_glibc(monkeypatch, confstr):
+    def fake_confstr(name):
+        if isinstance(confstr, Exception):
+            raise confstr
+        return confstr
+
+    if confstr is None:
+        monkeypatch.delattr(simcore.os, "confstr")
+    else:
+        monkeypatch.setattr(simcore.os, "confstr", fake_confstr)
+    monkeypatch.setattr(simcore.ctypes, "CDLL", _refuse_cdll)
+    simcore._keep_heap()
+
+
+def test_keep_heap_sets_the_three_glibc_parameters(monkeypatch):
+    calls = []
+    libc = types.SimpleNamespace(mallopt=lambda param, value: calls.append((param, value)))
+    monkeypatch.setattr(simcore.os, "confstr", lambda name: "glibc 2.36")
+    monkeypatch.setattr(simcore.ctypes, "CDLL", lambda name: libc)
+    simcore._keep_heap()
+    # M_TRIM_THRESHOLD, M_TOP_PAD, M_MMAP_THRESHOLD
+    assert calls == [(-1, 2**31 - 1), (-2, 256 << 20), (-3, 256 << 20)]
