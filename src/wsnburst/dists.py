@@ -19,6 +19,7 @@ as the survival probability: ``reliability(spec, sample(spec, u)) == u``.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Union
 
@@ -74,6 +75,11 @@ class TPT:
             raise ParameterError(f"TPT theta must be in (0,1), got {self.theta}")
         if not (isinstance(self.T, int) and self.T >= 1):
             raise ParameterError(f"TPT truncation level T must be an integer >= 1, got {self.T}")
+        # the last branch factor theta^(T-1) must stay a normal float; compared
+        # through logarithms, so no power and no T-length array is built
+        if self.T - 1 > math.log(sys.float_info.min) / math.log(self.theta):
+            raise ParameterError(f"TPT truncation level T={self.T} is too large for "
+                                 f"theta={self.theta}: theta^(T-1) underflows")
         if not self.lam > 1.0:
             raise ParameterError(f"TPT lam must be > 1, got {self.lam}")
         if not self.mu > 0.0:

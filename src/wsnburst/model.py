@@ -198,7 +198,7 @@ class DiscretizedLaw:
     def __post_init__(self):
         m, second = _discretized_moments(self.dist)
         target = mean_of(self.dist)
-        if target > 0 and abs(m - target) > 0.01 * target:
+        if target > 0 and not abs(m - target) <= 0.01 * target:   # a NaN mean fails too
             raise ParameterError(
                 f"discretized burst-size mean {m:.6g} deviates more than 1% "
                 f"from the continuous mean {target:.6g}")

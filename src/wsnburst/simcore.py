@@ -11,9 +11,8 @@ The engine streams the nodes child-before-parent, freeing a child's arrays
 once its parent has merged them, and computes each FIFO server's
 departures with the recursion ``d[i] = max(a[i], d[i-1]) + s[i]`` in
 closed vectorized form (``d = S + running-max(a - S_shifted)`` with
-``S = cumsum(s)``, in cache-sized blocks), which reproduces the exact
-event-by-event sample path at a fraction of the cost of a serial event
-loop.  Statistics are collected from packets created after the warm-up
+``S = cumsum(s)``), which reproduces the exact event-by-event sample path
+at a fraction of the cost of a serial event loop.  Statistics are collected from packets created after the warm-up
 period; buffers are infinite and overflow is counted virtually:
 ``overflow_prob`` is the fraction of post-warm-up-created arrivals that
 find at least B packets in system, ``depart[i-B] > arrive[i]``.
@@ -38,7 +37,6 @@ _SRC_TAG = fnv1a64("source")
 _SVC_TAG = fnv1a64("service")
 _SIZE_TAG = fnv1a64("size")
 
-_BLOCK = 1 << 14   # fifo_departures block: its two float64 temporaries stay in cache
 MEAN_PACKET_BYTES = 100.0  # recorded on traces only; service is drawn per hop
 
 TRACE_COLUMNS = ("packet_id", "source_id", "cluster_id", "created_at",
@@ -91,8 +89,6 @@ class NodeState:
     """Post-run per-node trajectory: sorted arrivals, FIFO departures, and
     the creation stamp of each arriving packet."""
 
-    node_id: str
-    threshold: int
     arrive: np.ndarray
     depart: np.ndarray
     created: np.ndarray
@@ -179,23 +175,12 @@ def fifo_departures(arrive: np.ndarray, service: np.ndarray) -> np.ndarray:
     """Departure times of a FIFO single server fed the sorted ``arrive``
     stream with per-packet service times ``service``.  Non-decreasing for
     any non-negative service (ties and zeros included), being the rounded sum
-    of two non-decreasing arrays; the overflow count and handoff rely on it.
-    Blocks carry the running sum (seeded before each sequential cumsum) and
-    the running max (exact), so the bits equal the one-shot closed form's."""
-    n = arrive.size
-    depart, total, slack = np.empty(n), np.empty(min(n, _BLOCK)), np.empty(min(n, _BLOCK))
-    total_prev, run = 0.0, -math.inf
-    for lo in range(0, n, _BLOCK):
-        tot, sl, svc = total[:n - lo], slack[:n - lo], service[lo:lo + _BLOCK]
-        np.copyto(tot, svc)
-        tot[0] += total_prev
-        np.cumsum(tot, out=tot)                       # S[i]
-        np.subtract(arrive[lo:lo + _BLOCK], tot, out=sl)
-        sl += svc                                     # a[i] - S[i-1]
-        sl[0] = max(sl[0], run)
-        np.maximum.accumulate(sl, out=sl)             # max over j<=i of (a[j] - S[j-1])
-        np.add(sl, tot, out=depart[lo:lo + _BLOCK])
-        total_prev, run = tot[-1], sl[-1]
+    of two non-decreasing arrays; the overflow count and handoff rely on it."""
+    depart = np.cumsum(service)                   # S[i]
+    slack = np.subtract(arrive, depart)
+    slack += service                              # a[i] - S[i-1]
+    np.maximum.accumulate(slack, out=slack)       # max over j<=i of (a[j] - S[j-1])
+    depart += slack
     return depart
 
 
@@ -205,15 +190,14 @@ def packets_seen(arrive: np.ndarray, depart: np.ndarray) -> np.ndarray:
         depart, arrive, side="right")
 
 
-def estimate_overflow(state: NodeState, mask: np.ndarray) -> float:
-    """Fraction of the arrivals selected by ``mask`` that find >= threshold
+def estimate_overflow(state: NodeState, mask: np.ndarray, B: int) -> float:
+    """Fraction of the arrivals selected by ``mask`` that find >= ``B``
     packets in the node: departures are sorted, so arrival i does iff
     ``depart[i-B] > arrive[i]``.  Buffers are infinite; nothing is dropped.
     With no selected arrivals the probability is 0."""
     n = int(np.count_nonzero(mask))
     if n == 0:
         return 0.0
-    B = state.threshold
     k = max(state.arrive.size - B, 0)     # arrivals with at least B predecessors
     hits = np.count_nonzero((state.depart[:k] > state.arrive[B:]) & mask[B:])
     return hits / n
@@ -278,8 +262,7 @@ def simulate(topo: TopologySpec, source: SourceParams,
             k = np.searchsorted(depart, horizon, "right")  # later ones never reach the parent
             pending[node.node_id] = {"times": depart[:k],
                                      **{key: merged[key][:k] for key in carried}}
-        yield node.node_id, NodeState(node_id=node.node_id, threshold=config.threshold,
-                                      arrive=arrive, depart=depart, **merged)
+        yield node.node_id, NodeState(arrive=arrive, depart=depart, **merged)
         del arrive, depart, merged   # else they would pin this child while its parent merges
 
 
@@ -293,27 +276,26 @@ def run_replication(topo: TopologySpec, source: SourceParams,
     pass through it, reaches its service rate is allowed but flagged
     ``saturated``.
     """
-    horizon, warmup = config.horizon_s, config.warmup_s
     clusters = list(topo.clusters)
     metrics: dict[str, NodeMetrics] = {}
     states: dict[str, NodeState] = {}
     for node_id, st in simulate(topo, source, config, seed):
-        metrics[node_id] = _node_metrics(st, warmup, horizon, len(clusters))
+        metrics[node_id] = _node_metrics(st, config, len(clusters))
         if config.trace or node_id == topo.sink_id:
             states[node_id] = st
         del st   # else it would pin this child while its parent merges
     saturated = any(source.K * topo.sources_through(node.node_id)
                     >= node.service_rate * (1.0 - 1e-12) for node in topo.nodes)
     per_cluster, overall_e2e, overall_n = _cluster_metrics(
-        clusters, states[topo.sink_id], metrics, warmup, horizon)
+        clusters, states[topo.sink_id], metrics, config)
     return ReplicationResult(
         saturated=saturated, per_node=metrics, per_cluster=per_cluster,
         overall_e2e_s=overall_e2e, overall_packets=overall_n,
         trace=_trace_columns(clusters, states) if config.trace else None)
 
 
-def _node_metrics(state: NodeState, warmup: float, horizon: float,
-                  n_clusters: int) -> NodeMetrics:
+def _node_metrics(state: NodeState, config: RunConfig, n_clusters: int) -> NodeMetrics:
+    horizon, warmup = config.horizon_s, config.warmup_s
     n, window = state.arrive.size, horizon - warmup
     first = np.searchsorted(state.arrive, warmup, "right")   # arrivals never exceed the horizon
     done = np.searchsorted(state.depart, horizon, "right")
@@ -324,7 +306,7 @@ def _node_metrics(state: NodeState, warmup: float, horizon: float,
     sojourn -= state.arrive[:done][created_mask[:done]]
     mpd = float(np.mean(sojourn)) if sojourn.size else 0.0
     del sojourn   # before the overlap array of time_average_in_system is built
-    overflow = estimate_overflow(state, created_mask)
+    overflow = estimate_overflow(state, created_mask, config.threshold)
     queue_len = time_average_in_system(state.arrive, state.depart, warmup, horizon)
 
     idx = state.cluster[first:]
@@ -335,9 +317,9 @@ def _node_metrics(state: NodeState, warmup: float, horizon: float,
         cluster_throughput_pps=cluster_thr)
 
 
-def _cluster_metrics(clusters, sink, node_metrics, warmup, horizon):
-    done = np.searchsorted(sink.depart, horizon, "right")
-    measured = sink.created[:done] > warmup
+def _cluster_metrics(clusters, sink, node_metrics, config: RunConfig):
+    done = np.searchsorted(sink.depart, config.horizon_s, "right")
+    measured = sink.created[:done] > config.warmup_s
     e2e = sink.depart[:done][measured]
     e2e -= sink.created[:done][measured]
     idx = sink.cluster[:done][measured]
@@ -387,7 +369,7 @@ def _trace_columns(clusters, states: dict[str, NodeState]) -> dict[str, list]:
     """The per-hop trace as TRACE_COLUMNS: one row per (queue node, arrival),
     ordered by cluster, source, packet id and arrival time, so each packet's
     hops are adjacent and in path order."""
-    nodes = list(states.values())
+    hops, nodes = list(states), list(states.values())
 
     def joined(key: str) -> np.ndarray:
         return np.concatenate([getattr(st, key) for st in nodes])
@@ -403,7 +385,7 @@ def _trace_columns(clusters, states: dict[str, NodeState]) -> dict[str, list]:
         "source_id": np.array(source_ids)[cluster * width + source].tolist(),
         "cluster_id": np.array([c.cluster_id for c in clusters])[cluster].tolist(),
         "created_at": joined("created")[order].tolist(),
-        "hop_node": np.array([st.node_id for st in nodes])[hop].tolist(),
+        "hop_node": np.array(hops)[hop].tolist(),
         "arrive": arrive[order].tolist(),
         "depart": joined("depart")[order].tolist(),
         "size_bytes": joined("size")[order].tolist(),

@@ -7,7 +7,8 @@ waiting packets.  Service times are supplied per arrival index so the
 oracle and the engine consume the identical randomness.
 
 ``fifo_closed_form`` and ``time_average_min_max`` are the one-shot array
-forms the engine's blocked and prefix-split versions must equal bit for bit.
+forms the engine's in-place FIFO kernel and prefix-split time average must
+equal bit for bit.
 
 ``stable_merge`` is the stable-argsort merge of sorted streams that the
 engine's value-sort merge of payload-free streams must equal bit for bit.

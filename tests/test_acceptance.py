@@ -2,16 +2,20 @@
 
 Each test prints a ``criterion NN: PASS/FAIL`` line (visible with
 ``pytest tests/test_acceptance.py -s``) and then asserts.  The suite is
-compute-heavy (hundreds of 25-hour replications) and takes about 5
-minutes on a 2-vCPU x86-64 VM; every test carries the ``acceptance``
-marker, so ``pytest -m "not acceptance"`` leaves it out.
+compute-heavy (hundreds of 25-hour replications, run two at a time by
+``_map_days``) and takes about 3 minutes on a 2-vCPU x86-64 VM; every test
+carries the ``acceptance`` marker, so ``pytest -m "not acceptance"`` leaves
+it out.
 """
 import json
 import math
 import subprocess
 import sys
 import time
+import warnings
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -53,6 +57,20 @@ def _case_day(case, b, seed, on_kind=EXP):
                            DAY_CFG, seed)
 
 
+def _raise_wsnburst_warnings():
+    # pyproject's filter, so a worker checks no less than the main process
+    warnings.filterwarnings("error", category=RuntimeWarning, module="wsnburst")
+
+
+def _map_days(day, arg_tuples):
+    """``[day(*args) for args in arg_tuples]`` on two worker processes, in
+    input order.  A day is a function of its arguments alone, so the results
+    are the serial loop's.  Never more than two workers: two case-3 days at
+    once peak at about 1.4 GiB."""
+    with ProcessPoolExecutor(max_workers=2, initializer=_raise_wsnburst_warnings) as pool:
+        return list(pool.map(day, *zip(*arg_tuples)))
+
+
 def tail_slope(samples, lo_q=0.90, hi_q=0.999, points=60):
     """Least-squares slope of log empirical reliability vs log x, evaluated
     on a log-spaced grid across the given percentile range."""
@@ -87,9 +105,9 @@ def test_criterion_01_blowup_tables():
 def test_criterion_02_mm1_oracle():
     t0 = time.perf_counter()
     mpds, ovfs, arrivals = [], [], 0
-    for day in range(10):
-        res = _star_day(1, 0.0, EXP, EXP, derive_seed(MASTER, 2, day),
-                        B=10, mode=EMISSION_POISSON)
+    days = _map_days(partial(_star_day, B=10, mode=EMISSION_POISSON),
+                     [(1, 0.0, EXP, EXP, derive_seed(MASTER, 2, day)) for day in range(10)])
+    for res in days:
         sink = res.per_node["sink"]
         mpds.append(sink.mpd_s)
         ovfs.append(sink.overflow_prob)
@@ -117,8 +135,9 @@ def test_criterion_03_near_smooth_limit():
     target = mpd_smooth_limit(100.0, 0.5)
     means = {}
     for mode in (EMISSION_POISSON, EMISSION_CONST):
-        vals = [_star_day(1, 0.05, EXP, EXP, derive_seed(MASTER, 3, day),
-                          mode=mode).per_node["sink"].mpd_s for day in range(10)]
+        days = _map_days(partial(_star_day, mode=mode),
+                         [(1, 0.05, EXP, EXP, derive_seed(MASTER, 3, day)) for day in range(10)])
+        vals = [res.per_node["sink"].mpd_s for res in days]
         means[mode] = float(np.mean(vals))
     ok = abs(means[EMISSION_POISSON] - target) / target <= 0.15
     assert _report(3, ok, f"poisson-mode mPD {means[EMISSION_POISSON]:.5f} vs {target} "
@@ -128,12 +147,12 @@ def test_criterion_03_near_smooth_limit():
 # ---------------------------------------------------------------- criterion 4
 
 def test_criterion_04_bulk_approach():
+    days = _map_days(partial(_star_day, lam=10.0, n_p=20.0),
+                     [(1, b, EXP, EXP, derive_seed(MASTER, 4, int(b * 1e6), day))
+                      for b in B_GRID for day in range(10)])
     means = []
-    for b in B_GRID:
-        vals = [_star_day(1, b, EXP, EXP,
-                          derive_seed(MASTER, 4, int(b * 1e6), day),
-                          lam=10.0, n_p=20.0).per_node["sink"].mpd_s
-                for day in range(10)]
+    for i, b in enumerate(B_GRID):
+        vals = [res.per_node["sink"].mpd_s for res in days[10 * i:10 * i + 10]]
         means.append(float(np.mean(vals)))
     bulk = mpd_bulk_limit(20.0, 0.5, GeometricLaw(20.0))   # 2.0 s
     ratio = means[-1] / means[0]
@@ -156,13 +175,15 @@ def test_criterion_05_blowup_jump():
     TPT branches that set W."""
     passing, ovf_low, ovf_high = 0, [], []
     ratios = []
+    days = iter(_map_days(_star_day, [(1, b, TPT30, EXP, derive_seed(master, 5, int(b * 1e6), day))
+                                      for master in range(1, 11) for b in (0.4, 0.6)
+                                      for day in range(10)]))
     for master in range(1, 11):
         medians = {}
         for b in (0.4, 0.6):
             mpds = []
-            for day in range(10):
-                res = _star_day(1, b, TPT30, EXP,
-                                derive_seed(master, 5, int(b * 1e6), day))
+            for _ in range(10):
+                res = next(days)
                 mpds.append(res.per_node["sink"].mpd_s)
                 (ovf_low if b == 0.4 else ovf_high).append(
                     res.per_node["sink"].overflow_prob)
@@ -182,11 +203,11 @@ def test_criterion_05_blowup_jump():
 # ---------------------------------------------------------------- criterion 6
 
 def test_criterion_06_two_node_damping():
+    days = _map_days(_star_day, [(n, 0.55, TPT30, EXP, derive_seed(MASTER, 6, n, day))
+                                 for n in (1, 2) for day in range(10)])
     medians = {}
-    for n in (1, 2):
-        vals = [_star_day(n, 0.55, TPT30, EXP,
-                          derive_seed(MASTER, 6, n, day)).per_node["sink"].mpd_s
-                for day in range(10)]
+    for i, n in enumerate((1, 2)):
+        vals = [res.per_node["sink"].mpd_s for res in days[10 * i:10 * i + 10]]
         medians[n] = float(np.median(vals))
     ok = medians[2] < medians[1]
     assert _report(6, ok, f"10-day median mPD: N=1 {medians[1]:.3f} s, "
@@ -198,22 +219,21 @@ def test_criterion_06_two_node_damping():
 CASE_DAYS = 3  # replications per sweep point for the cluster-tree sweeps
 
 
+def _case_sweep(case, criterion):
+    """``CASE_DAYS`` days of ``case`` at each b of B_GRID_HIGH, keyed by b."""
+    days = _map_days(_case_day, [(case, b, derive_seed(MASTER, criterion, int(b * 1e6), day))
+                                 for b in B_GRID_HIGH for day in range(CASE_DAYS)])
+    return {b: days[CASE_DAYS * i:CASE_DAYS * (i + 1)] for i, b in enumerate(B_GRID_HIGH)}
+
+
 @pytest.fixture(scope="module")
 def case2_sweep():
-    out = {}
-    for b in B_GRID_HIGH:
-        out[b] = [_case_day(2, b, derive_seed(MASTER, 7, int(b * 1e6), day))
-                  for day in range(CASE_DAYS)]
-    return out
+    return _case_sweep(2, 7)
 
 
 @pytest.fixture(scope="module")
 def case3_sweep():
-    out = {}
-    for b in B_GRID_HIGH:
-        out[b] = [_case_day(3, b, derive_seed(MASTER, 8, int(b * 1e6), day))
-                  for day in range(CASE_DAYS)]
-    return out
+    return _case_sweep(3, 8)
 
 
 def test_criterion_07_throughput_conservation(case2_sweep):
@@ -302,12 +322,15 @@ def test_criterion_11_fluctuation_ordering():
     variants = {1: (EXP, EXP), 2: (PARETO, EXP), 3: (PARETO, PARETO)}
     both, first_only = 0, 0
     rows = []
+    days = iter(_map_days(_star_day, [(1, 0.7, on_kind, off_kind,
+                                       derive_seed(master, variant, b_key, day))
+                                      for master in range(1, 11)
+                                      for variant, (on_kind, off_kind) in variants.items()
+                                      for day in range(10)]))
     for master in range(1, 11):
         cvs = {}
-        for variant, (on_kind, off_kind) in variants.items():
-            mpds = [_star_day(1, 0.7, on_kind, off_kind,
-                              derive_seed(master, variant, b_key, day))
-                    .per_node["sink"].mpd_s for day in range(10)]
+        for variant in variants:
+            mpds = [next(days).per_node["sink"].mpd_s for _ in range(10)]
             arr = np.asarray(mpds)
             cvs[variant] = float(arr.std() / arr.mean())
         ok1 = cvs[2] > cvs[1]

@@ -200,3 +200,13 @@ def test_reliability_is_nonincreasing_from_one(kind, mean, alpha, theta, T, x1, 
 def test_invalid_parameters_raise(bad):
     with pytest.raises(ParameterError):
         bad()
+
+
+def test_tpt_refuses_a_last_branch_factor_below_the_smallest_normal_float():
+    # theta^(T-1) at theta=.5 is 2^-1022 at T=1023, the smallest normal float;
+    # past it the weights and rates underflow, and the discretized moments
+    # of tpt:1100 (second) and tpt:1500 (both) are NaN, 0 * inf
+    TPT(theta=0.5, T=1023, lam=1.5, mu=1.0)
+    for T in (1024, 1500, 10**400):
+        with pytest.raises(ParameterError, match=f"truncation level T={T} is too large"):
+            TPT(theta=0.5, T=T, lam=1.5, mu=1.0)

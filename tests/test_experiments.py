@@ -462,6 +462,15 @@ def test_cli_validate_refuses_what_simulate_refuses(tmp_path, capsys):
         assert not (out / "results.csv").exists()
 
 
+@pytest.mark.parametrize("T", [1024, 1500, 10**400], ids=["1024", "1500", "400-digit"])
+def test_cli_validate_refuses_a_tpt_level_that_underflows(tmp_path, capsys, T):
+    # at theta=.5 the discretized mean of tpt:1500 is NaN (its branch weights
+    # and rates underflow), and a 400-digit T converts to no float
+    path = write_config(tmp_path, {**FAST, "on_kind": f"tpt:{T}", "n_p": 50})
+    assert cli_main(["validate", "--config", str(path)]) == 2
+    assert f"TPT truncation level T={T} is too large" in capsys.readouterr().err
+
+
 def test_cli_validate_shipped_configs(tmp_path):
     for path in sorted(CONFIGS.glob("*.json")):
         assert cli_main(["validate", "--config", str(path)]) == 0, path

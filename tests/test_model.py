@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import zeta
 
+import wsnburst.model as model
 from wsnburst.dists import (Deterministic, Exponential, ParameterError, Pareto, mean_of,
                             reliability, tpt_calibrate)
 from wsnburst.model import (DeterministicLaw, DiscretizedLaw, DistKind, GeometricLaw,
@@ -266,6 +267,13 @@ def test_discretized_law_rejects_distorting_small_mean():
     # target beyond the 1% gate; construction must refuse rather than drift
     with pytest.raises(ParameterError):
         DiscretizedLaw(Pareto(alpha=1.4, mean=8.0))
+
+
+def test_discretized_law_refuses_a_nan_mean(monkeypatch):
+    # a NaN compares false against any bound, so the gate is written to fail on it
+    monkeypatch.setattr(model, "_discretized_moments", lambda dist: (math.nan, math.nan))
+    with pytest.raises(ParameterError, match="discretized burst-size mean nan"):
+        DiscretizedLaw(Pareto(alpha=1.4, mean=50.0))
 
 
 def test_discretized_law_mean_against_monte_carlo(rng):

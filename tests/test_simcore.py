@@ -21,7 +21,7 @@ from wsnburst.model import (EMISSION_CONST, EMISSION_POISSON, DeterministicLaw,
                             DistKind, bulk_law_for, derive_source_params)
 from wsnburst.rng import derive_seed, substream
 import wsnburst.simcore as simcore
-from wsnburst.simcore import (_BLOCK, TRACE_COLUMNS, NodeState, RunConfig, estimate_overflow,
+from wsnburst.simcore import (TRACE_COLUMNS, NodeState, RunConfig, estimate_overflow,
                               fifo_departures, packets_seen, run_replication, simulate,
                               source_emit, time_average_in_system, write_trace_csv)
 from wsnburst.topology import ClusterSpec, NodeSpec, TopologySpec
@@ -62,15 +62,15 @@ def _tied_arrivals(rng, n, scale):
 
 @settings(max_examples=40)
 @given(n=st.one_of(st.integers(0, 400),
-                   st.sampled_from([_BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 17])),
+                   st.sampled_from([16_383, 16_384, 16_385, 49_169])),
        seed=st.integers(0, 2**32 - 1), scale=st.sampled_from([1.0, 1e5]),
        mean_service=st.sampled_from([0.0, 5e-324, 1e-15, 1e-9, 1e-3]),
        zero_frac=st.floats(0.0, 1.0))
-def test_fifo_departures_blocked_matches_closed_form(n, seed, scale, mean_service, zero_frac):
-    # the blocks carry the running sum and max, so the bits equal the one-shot
-    # form on either side of a block edge; the overflow count and the
-    # child-to-parent handoff rely on the order; tiny services vanish in
-    # rounding against 1e5 s arrival times
+def test_fifo_departures_match_closed_form_and_event_loop(n, seed, scale, mean_service,
+                                                          zero_frac):
+    # bit for bit the reference closed form, for small and large arrays; the
+    # overflow count and the child-to-parent handoff rely on the order; tiny
+    # services vanish in rounding against 1e5 s arrival times
     rng = np.random.default_rng(seed)
     arrive = _tied_arrivals(rng, n, scale)
     service = rng.exponential(mean_service, n)
@@ -347,9 +347,8 @@ def test_fifo_order_preserved_in_replication():
 def test_overflow_busy_period_threshold_one():
     arrive = np.array([0.0, 0.01, 0.02])
     depart = fifo_departures(arrive, np.array([1.0, 1.0, 1.0]))
-    state = NodeState("n", 1, arrive, depart, created=arrive,
-                      cluster=np.zeros(3, dtype=np.int16))
-    assert estimate_overflow(state, state.created > -1.0) == pytest.approx(2.0 / 3.0)
+    state = NodeState(arrive, depart, created=arrive, cluster=np.zeros(3, dtype=np.int16))
+    assert estimate_overflow(state, state.created > -1.0, 1) == pytest.approx(2.0 / 3.0)
 
 
 def test_overflow_unreachable_threshold_is_zero():
@@ -375,7 +374,7 @@ def test_overflow_counts_against_the_run_configs_threshold():
     probs = []
     for B in (1, 10):
         res = run_replication(topo, src, replace(config, threshold=B), seed=12)
-        probs.append(estimate_overflow(replace(state, threshold=B), state.created > 100.0))
+        probs.append(estimate_overflow(state, state.created > 100.0, B))
         assert res.per_node["sink"].overflow_prob == probs[-1]
     assert probs[0] > probs[1] > 0.0
 
@@ -397,9 +396,8 @@ def test_overflow_shifted_compare_is_exact(n, seed, load, on_grid, warm_frac, da
     B = data.draw(st.integers(1, n + 3), label="B")
     depart = fifo_departures(arrive, service)
     _, oracle_seen = fifo_event_loop(arrive.tolist(), service.tolist())
-    state = NodeState("n", B, arrive, depart, created=arrive,
-                      cluster=np.zeros(n, dtype=np.int16))
-    prob = estimate_overflow(state, mask)
+    state = NodeState(arrive, depart, created=arrive, cluster=np.zeros(n, dtype=np.int16))
+    prob = estimate_overflow(state, mask, B)
     measured = int(mask.sum())
     for seen in (np.asarray(oracle_seen), packets_seen(arrive, depart)):
         hits = int(np.count_nonzero(seen[mask] >= B))
@@ -419,9 +417,7 @@ def test_overflow_equals_packets_seen_count_on_replications(case):
         n, mask = node.arrive.size, node.created > 60.0
         seen = packets_seen(node.arrive, node.depart)
         for B in (1, 2, 10, 1000, n - 1, n, n + 3):
-            state = NodeState(node.node_id, B, node.arrive, node.depart,
-                              node.created, node.cluster)
-            prob = estimate_overflow(state, mask)
+            prob = estimate_overflow(node, mask, B)
             assert prob == np.count_nonzero(seen[mask] >= B) / mask.sum()
 
 
@@ -578,7 +574,7 @@ def test_relay_states_are_freed_once_the_sink_has_merged_them(monkeypatch):
     # by the time the sink serves its merged arrivals, no loop variable of
     # simulate or run_replication may pin a relay's state or arrays
     fifo, node_metrics = simcore.fifo_departures, simcore._node_metrics
-    relay_refs, alive = [], []
+    relay_refs, alive, served = [], [], []
 
     def fifo_spy(arrive, service):
         gc.collect()
@@ -586,7 +582,8 @@ def test_relay_states_are_freed_once_the_sink_has_merged_them(monkeypatch):
         return fifo(arrive, service)
 
     def metrics_spy(state, *args):
-        if state.node_id != "sink":
+        served.append(None)   # counts the call without pinning the state
+        if len(served) <= 2:   # serving order: relay_1, relay_2, then the sink
             relay_refs.extend(weakref.ref(x) for x in
                               (state, state.arrive, state.depart, state.created, state.cluster))
         return node_metrics(state, *args)
@@ -594,23 +591,36 @@ def test_relay_states_are_freed_once_the_sink_has_merged_them(monkeypatch):
     monkeypatch.setattr(simcore, "fifo_departures", fifo_spy)
     monkeypatch.setattr(simcore, "_node_metrics", metrics_spy)
     run_replication(topo, src, cfg, seed=5)
-    assert len(alive) == 10 and not any(alive)
+    assert len(served) == 3 and len(alive) == 10 and not any(alive)
+
+
+def _peak_bytes_per_sink_arrival(topo, src, config, seed):
+    tracemalloc.start()
+    try:
+        res = run_replication(topo, src, config, seed)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak / res.per_node["sink"].arrivals_total
 
 
 def test_case3_replication_peak_memory_per_sink_arrival():
     # a one-hour case-3 day at b=.9 traced 65.3 B per sink arrival while
-    # every relay trajectory stayed alive through the sink, and 42.1 B once
-    # replication streams through the tree (the sink's metrics are the
+    # every relay trajectory stayed alive through the sink, and 42.1-43.5 B
+    # once replication streams through the tree (the sink's metrics are the
     # peak); a merge that kept its inputs to the end reached 47.3 B
     topo, src = _case3_b09()
-    tracemalloc.start()
-    try:
-        res = run_replication(topo, src, RunConfig(horizon_s=3600.0, warmup_s=600.0),
-                              seed=1729)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak / res.per_node["sink"].arrivals_total < 46.0
+    assert _peak_bytes_per_sink_arrival(
+        topo, src, RunConfig(horizon_s=3600.0, warmup_s=600.0), seed=1729) < 46.0
+
+
+def test_star_replication_peak_memory_per_sink_arrival():
+    # a four-hour star day of ten sources at b=.3 traces 34-35 B per sink
+    # arrival, and the FIFO stage's one full-length temporary sets the peak;
+    # one more float64 temporary there adds 8 B
+    topo, src = wb.build_star(10), bursty_params(n=10, b=0.3)
+    assert _peak_bytes_per_sink_arrival(
+        topo, src, RunConfig(horizon_s=14_400.0, warmup_s=3_600.0), seed=1729) < 37.0
 
 
 _GLIBC = (os.confstr("CS_GNU_LIBC_VERSION") or "").startswith("glibc")
