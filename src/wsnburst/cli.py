@@ -1,11 +1,11 @@
 """Command-line interface.
 
     wsnburst analytic blowup --n 2 --rho 0.5 [--rho-sweep 0.1:0.9:0.1] [--csv F]
-    wsnburst analytic limits --v 20 --rho 0.5 --law geom:20 [--csv F]
+    wsnburst analytic limits --v 20 --rho 0.5 --on-kind exp|pareto|tpt:<T> [--n-p 50] [--csv F]
     wsnburst simulate --config cfg.json [--out DIR] [--seed S] [--days D] [--parallel P]
     wsnburst validate --config cfg.json
 
-Exit codes: 0 success, 2 configuration error, 3 runtime failure.
+Exit codes: 0 success, 2 configuration error, 3 runtime failure or interrupt.
 """
 from __future__ import annotations
 
@@ -40,7 +40,9 @@ def build_parser() -> argparse.ArgumentParser:
     limits = akind.add_parser("limits", help="smooth and bulk mean-delay limits")
     limits.add_argument("--v", type=float, required=True, help="service rate (packets/s)")
     limits.add_argument("--rho", type=float, required=True, help="utilization")
-    limits.add_argument("--law", required=True, help="burst-size law: geom:<n_p> or det:<L>")
+    limits.add_argument("--on-kind", required=True,
+                        help="ON shape as in a config: exp, pareto or tpt:<T>")
+    limits.add_argument("--n-p", type=float, default=50.0, help="mean burst size (packets)")
     limits.add_argument("--csv", metavar="FILE", help="also write the table as CSV")
 
     simulate = sub.add_parser("simulate", help="run a sweep from a config file")
@@ -70,6 +72,9 @@ def main(argv=None) -> int:
     except (ConfigError, ParameterError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except KeyboardInterrupt:   # a sweep keeps the rows it wrote before this
+        print("interrupted", file=sys.stderr)
+        return EXIT_RUNTIME
     except Exception as exc:  # noqa: BLE001 - surfaced as exit code 3
         print(f"runtime failure: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
@@ -94,8 +99,8 @@ def _cmd_analytic(args) -> int:
                        for row in rows])
         return EXIT_OK
 
-    table = limits_table(args.v, args.rho, args.law)
-    row = [value if key == "law" else fmt9(value) for key, value in table.items()]
+    table = limits_table(args.v, args.rho, args.on_kind, args.n_p)
+    row = [value if key == "on_kind" else fmt9(value) for key, value in table.items()]
     print(" ".join(f"{cell:>14}" for cell in table))
     print(" ".join(f"{cell:>14}" for cell in row))
     if args.csv:

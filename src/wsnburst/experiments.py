@@ -18,6 +18,7 @@ import math
 import operator
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Optional
@@ -26,8 +27,7 @@ import numpy as np
 
 from . import __version__
 from .dists import ParameterError
-from .model import (DistKind, DeterministicLaw, GeometricLaw,
-                    bulk_factor, bulk_law_for, blowup_points, derive_source_params,
+from .model import (DistKind, bulk_factor, bulk_law_for, blowup_points, derive_source_params,
                     mpd_bulk_limit, mpd_smooth_limit)
 from .rng import derive_seed
 from .simcore import ReplicationResult, RunConfig, run_replication, write_trace_csv
@@ -328,15 +328,18 @@ def run_sweep(config: SimConfig, parallel: int = 1) -> SweepOutput:
     tasks = [(config, n, b, day) for n in config.n_list
              for b in config.b_values for day in range(config.days)]
     workers = min(parallel, len(tasks))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(run_point, *zip(*tasks)))
-    else:
-        chunks = [run_point(*task) for task in tasks]
-    rows = [row for chunk in chunks for row in chunk]
-
     results_csv = out / "results.csv"
-    write_csv(results_csv, RESULT_COLUMNS, (row.as_csv() for row in rows))
+    rows: list[SweepRow] = []
+    # each point is written as it finishes, in task order: a sweep that dies keeps those rows
+    with (ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext()) as pool, \
+            open(results_csv, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(RESULT_COLUMNS)
+        for chunk in (pool.map if pool else map)(run_point, *zip(*tasks)):
+            writer.writerows(row.as_csv() for row in chunk)
+            fh.flush()
+            rows.extend(chunk)
+
     parsed = read_results_csv(results_csv)
     summary_rows = summarize(parsed)
     summary_csv = out / "summary.csv"
@@ -494,23 +497,15 @@ def blowup_table(n: int, rho: float,
     return out
 
 
-def parse_bulk_law(text: str):
-    """Parse a burst-size law argument: 'geom:<mean>' or 'det:<packets>'."""
-    kind, _, arg = text.partition(":")
+def limits_table(v: float, rho: float, on_kind: str, n_p: float) -> dict:
+    """Smooth and bulk mean-delay limits for the burst-size law that a config's
+    ``on_kind`` (alpha and theta at their defaults) and ``n_p`` give a sweep."""
     try:
-        if kind == "geom":
-            return GeometricLaw(mean=float(arg))
-        if kind == "det":
-            return DeterministicLaw(packets=int(arg))
-    except ValueError as exc:   # a malformed number, or a law that refuses it
-        raise ParameterError(f"bulk law {text!r}: {exc}") from None
-    raise ParameterError(f"unknown bulk law {text!r}; expected geom:<n_p> or det:<L>")
-
-
-def limits_table(v: float, rho: float, law_text: str) -> dict:
-    law = parse_bulk_law(law_text)
+        law = bulk_law_for(DistKind.parse(on_kind), n_p)
+    except ValueError as exc:   # a ParameterError, or int() refusing the T of 'tpt:x'
+        raise ParameterError(f"on_kind {on_kind!r} with n_p {n_p}: {exc}") from None
     return {
-        "v": v, "rho": rho, "law": law_text,
+        "v": v, "rho": rho, "on_kind": on_kind, "n_p": n_p,
         "mpd_smooth_s": mpd_smooth_limit(v, rho),
         "bulk_factor_D": bulk_factor(law),
         "mpd_bulk_s": mpd_bulk_limit(v, rho, law),

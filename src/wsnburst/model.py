@@ -262,7 +262,8 @@ def _discretized_moments(dist: DistributionSpec) -> tuple[float, float]:
         raise ParameterError(f"cannot discretize {dist!r}")
     head = np.exp(-1.5 * rates)    # R(3/2) of each branch
     gap = -np.expm1(-rates)        # 1 - e^{-r}
-    return 1.0 + float(w @ (head / gap)), 1.0 + float(w @ (head * (1.0 + gap) / gap**2))
+    # divided by gap one factor at a time: gap**2 underflows to 0 below about 1.5e-162
+    return 1.0 + float(w @ (head / gap)), 1.0 + float((w * head / gap) @ ((1.0 + gap) / gap))
 
 
 @functools.cache

@@ -3,6 +3,8 @@ import csv
 import hashlib
 import json
 import math
+import os
+import shlex
 import statistics
 import subprocess
 import sys
@@ -247,6 +249,56 @@ def test_parallel_sweep_matches_serial(tmp_path):
     assert parallel.summary_csv.read_bytes() == serial.summary_csv.read_bytes()
 
 
+INTERRUPTED = {**FAST, "days": 2, "b": {"start": 0.3, "stop": 0.5, "step": 0.2}}   # 4 points
+
+
+def _interrupted_sweep(tmp_path, capsys, monkeypatch, dying_point, *parallel):
+    """Exit code, stderr and results.csv lines of the INTERRUPTED sweep run
+    with ``dying_point`` in place of ``run_point``, and the lines of the same
+    sweep run whole."""
+    serial = run_sweep(config_from_dict({**INTERRUPTED, "out_dir": str(tmp_path / "serial")}))
+    monkeypatch.setattr(ex, "run_point", dying_point)
+    path = write_config(tmp_path, INTERRUPTED)
+    out_dir = tmp_path / "dead"
+    try:
+        code = cli_main(["simulate", "--config", str(path), "--out", str(out_dir), *parallel])
+    except KeyboardInterrupt:   # escaped main; fail this test, not the whole session
+        code = None
+    assert not (out_dir / "summary.csv").exists()
+    assert not (out_dir / "run_manifest.json").exists()
+    return (code, capsys.readouterr().err, (out_dir / "results.csv").read_text().splitlines(),
+            serial.results_csv.read_text().splitlines())
+
+
+def test_interrupted_sweep_keeps_the_rows_it_finished(tmp_path, capsys, monkeypatch):
+    calls = []
+
+    def interrupted_point(*task):
+        calls.append(task)
+        if len(calls) == 3:
+            raise KeyboardInterrupt
+        return run_point(*task)
+
+    code, err, kept, serial = _interrupted_sweep(tmp_path, capsys, monkeypatch,
+                                                 interrupted_point)
+    assert code == 3 and err == "interrupted\n"
+    assert kept == serial[:3]   # the header and the first two points' rows
+
+
+def _dying_point(config, n, b, day):
+    if (b, day) == (0.5, 0):
+        os._exit(1)
+    return run_point(config, n, b, day)
+
+
+def test_dead_worker_keeps_the_rows_written_before_it(tmp_path, capsys, monkeypatch):
+    # the pool pickles _dying_point by name, and its forked workers have this module
+    code, err, kept, serial = _interrupted_sweep(tmp_path, capsys, monkeypatch, _dying_point,
+                                                 "--parallel", "2")
+    assert code == 3 and err.startswith("runtime failure: ")
+    assert kept == serial[:len(kept)] and len(kept) < len(serial)
+
+
 def test_error_row_leaves_every_metric_cell_empty():
     row = ex.SweepRow(case=2, N=3, b=0.25, on_kind="tpt", T=30, off_kind="pareto", day=4,
                       entity="sink", mpd_s=None, e2e_delay_s=None, throughput_pps=None,
@@ -386,11 +438,13 @@ def test_blowup_table_rho_sweep_matches_one_minus_rho():
 
 
 def test_limits_table_fig2_parameterization():
-    table = limits_table(20.0, 0.5, "geom:20")
+    table = limits_table(20.0, 0.5, "exp", 20.0)
     assert table["mpd_smooth_s"] == pytest.approx(0.1, rel=1e-9)
     assert table["mpd_bulk_s"] == pytest.approx(2.0, rel=1e-9)
-    det = limits_table(100.0, 0.5, "det:1")
-    assert det["mpd_bulk_s"] == pytest.approx(0.02, rel=1e-9)
+    # one-packet bursts: D = 1, and the bulk limit is the smooth one
+    single = limits_table(100.0, 0.5, "exp", 1.0)
+    assert single["bulk_factor_D"] == 1.0
+    assert single["mpd_bulk_s"] == single["mpd_smooth_s"] == pytest.approx(0.02, rel=1e-9)
 
 
 # --------------------------------------------------------------------- CLI
@@ -401,32 +455,64 @@ def test_cli_blowup_prints_table(capsys):
     assert "0.666667" in out and "0.500000" in out
 
 
+def _limits_row(capsys, *args) -> dict:
+    """The one table row that `analytic limits --v 20 --rho 0.5 <args>` prints."""
+    assert cli_main(["analytic", "limits", "--v", "20", "--rho", "0.5", *args]) == 0
+    header, row = capsys.readouterr().out.splitlines()
+    return dict(zip(header.split(), row.split()))
+
+
 def test_cli_limits_prints_values(capsys):
-    assert cli_main(["analytic", "limits", "--v", "20", "--rho", "0.5",
-                     "--law", "geom:20"]) == 0
-    out = capsys.readouterr().out
-    assert "0.100000" in out and "2.000000" in out
+    row = _limits_row(capsys, "--on-kind", "exp", "--n-p", "20")
+    assert (row["on_kind"], row["n_p"]) == ("exp", "20.0000000")
+    assert (row["mpd_smooth_s"], row["bulk_factor_D"], row["mpd_bulk_s"]) == \
+        ("0.100000000", "20.0000000", "2.00000000")
+
+
+@pytest.mark.parametrize("on_kind, d, bulk", [("tpt:30", "69571.9366", "6957.19366"),
+                                              ("pareto", "inf", "inf")])   # alpha 1.4 <= 2
+def test_cli_limits_takes_a_configs_on_kind(capsys, on_kind, d, bulk):
+    row = _limits_row(capsys, "--on-kind", on_kind)
+    assert (row["on_kind"], row["n_p"]) == (on_kind, "50.0000000")   # n_p's config default
+    assert (row["bulk_factor_D"], row["mpd_bulk_s"]) == (d, bulk)
+
+
+def test_cli_limits_second_moment_of_the_largest_tpt_level(capsys):
+    # at tpt:1023 the slow branches' (1 - e^{-r})^2 underflows to 0
+    row = _limits_row(capsys, "--on-kind", "tpt:1023")
+    assert row["bulk_factor_D"] == "891185508" + "0" * 124
 
 
 def test_cli_limits_writes_huge_values_with_nine_digits(tmp_path, capsys):
-    # D of geom:1e200 is its mean, written as 9 digits and zeros, not every binary digit
+    # D of a geometric law is its mean, written as 9 digits and zeros, not every binary digit
     path = tmp_path / "limits.csv"
     assert cli_main(["analytic", "limits", "--v", "20", "--rho", "0.5",
-                     "--law", "geom:1e200", "--csv", str(path)]) == 0
-    row = next(csv.DictReader(path.read_text().splitlines()))
-    assert row["bulk_factor_D"] == "1" + "0" * 200
+                     "--on-kind", "exp", "--n-p", "1e200", "--csv", str(path)]) == 0
+    header, line = path.read_text().splitlines()
+    assert header == "v,rho,on_kind,n_p,mpd_smooth_s,bulk_factor_D,mpd_bulk_s"
+    row = dict(zip(header.split(","), line.split(",")))
+    assert row["on_kind"] == "exp"
+    assert row["bulk_factor_D"] == row["n_p"] == "1" + "0" * 200
     assert row["bulk_factor_D"] in capsys.readouterr().out.split()
 
 
 @pytest.mark.parametrize("args, match", [
-    (["--v", "inf", "--law", "geom:20"], "v must be finite and > 0, got inf"),
-    (["--v", "1e-320", "--law", "geom:20"], "overflows at v=1e-320"),   # 1/v is inf
-    (["--v", "20", "--law", "geom:inf"], "mean must be finite and >= 1, got inf"),
-    (["--v", "20", "--law", f"det:{10**400}"], "must be >= 1 and a finite float"),
+    (["--v", "inf", "--on-kind", "exp"], "v must be finite and > 0, got inf"),
+    (["--v", "1e-320", "--on-kind", "exp"], "overflows at v=1e-320"),   # 1/v is inf
+    (["--v", "20", "--on-kind", "exp", "--n-p", "inf"], "mean must be finite and >= 1, got inf"),
 ])
 def test_cli_limits_refuses_non_finite_answers(capsys, args, match):
     assert cli_main(["analytic", "limits", "--rho", "0.5", *args]) == 2
     assert match in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("on_kind, n_p", [
+    ("zipf", "50"), ("tpt", "50"), ("tpt:x", "50"), ("tpt:0", "50"), ("tpt:1024", "50"),
+    ("pareto", "8"), ("tpt:10", "5"), ("exp", "0.5"), ("exp", "nan")])
+def test_cli_limits_refuses_a_bad_on_kind_or_n_p(capsys, on_kind, n_p):
+    assert cli_main(["analytic", "limits", "--v", "20", "--rho", "0.5",
+                     "--on-kind", on_kind, "--n-p", n_p]) == 2
+    assert f"on_kind {on_kind!r} with n_p {float(n_p)}: " in capsys.readouterr().err
 
 
 def test_cli_validate_ok(tmp_path, capsys):
@@ -448,7 +534,8 @@ def test_cli_validate_bad_config_exit_2(tmp_path, capsys):
 
 def test_cli_validate_refuses_what_simulate_refuses(tmp_path, capsys):
     # neither tpt:10 nor pareto discretizes to a small mean burst within 1%:
-    # a configuration error, refused before anything is written
+    # a configuration error, refused before anything is written, and by
+    # `analytic limits` too
     for on_kind, n_p in (("tpt:10", 5), ("pareto", 8)):
         path = write_config(tmp_path, {**FAST, "case": 2, "N": [1, 2], "days": 2,
                                        "on_kind": on_kind, "n_p": n_p})
@@ -460,6 +547,9 @@ def test_cli_validate_refuses_what_simulate_refuses(tmp_path, capsys):
         assert cli_main(["simulate", "--config", str(path), "--out", str(out)]) == 2
         assert capsys.readouterr().err.count("discretized burst-size mean") == 1
         assert not (out / "results.csv").exists()
+        assert cli_main(["analytic", "limits", "--v", "20", "--rho", "0.5",
+                         "--on-kind", on_kind, "--n-p", str(n_p)]) == 2
+        assert capsys.readouterr().err.count("discretized burst-size mean") == 1
 
 
 @pytest.mark.parametrize("T", [1024, 1500, 10**400], ids=["1024", "1500", "400-digit"])
@@ -484,12 +574,6 @@ def test_cli_validate_shipped_configs(tmp_path):
 
 def test_cli_missing_config_exit_2(tmp_path):
     assert cli_main(["simulate", "--config", str(tmp_path / "nope.json")]) == 2
-
-
-def test_cli_bad_law_exit_2():
-    for law in ("zipf:3", "det:2.5", "geom:abc", "geom:", "det", "geom:nan"):
-        assert cli_main(["analytic", "limits", "--v", "20", "--rho", "0.5",
-                         "--law", law]) == 2, law
 
 
 @pytest.mark.parametrize("sweep", ["0.1:0.9:-0.1", "0.1:0.9:0", "0.9:0.1:0.1", "nan:0.9:0.1",
@@ -656,3 +740,18 @@ def test_cli_module_entry_point(tmp_path):
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "0.750000" in proc.stdout
+
+
+def test_readme_cli_examples_run(tmp_path, capsys):
+    # simulate lines are whole sweeps and stay out; CSV files go to tmp_path
+    root = CONFIGS.parent
+    block = (root / "README.md").read_text().split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    examples = [shlex.split(line)[1:] for line in block.splitlines()
+                if line.startswith(("wsnburst analytic ", "wsnburst validate "))]
+    assert {tuple(args[:2]) for args in examples} == \
+        {("analytic", "blowup"), ("analytic", "limits"), ("validate", "--config")}
+    for args in examples:
+        args = [str(tmp_path / arg) if prev == "--csv" else
+                str(root / arg) if arg.startswith("configs/") else arg
+                for prev, arg in zip([None, *args], args)]
+        assert cli_main(args) == 0, (args, capsys.readouterr().err)

@@ -1,5 +1,6 @@
 """Closed-form model results: burstiness, blow-up points, delay limits, bulk factor."""
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -274,6 +275,18 @@ def test_discretized_law_refuses_a_nan_mean(monkeypatch):
     monkeypatch.setattr(model, "_discretized_moments", lambda dist: (math.nan, math.nan))
     with pytest.raises(ParameterError, match="discretized burst-size mean nan"):
         DiscretizedLaw(Pareto(alpha=1.4, mean=50.0))
+
+
+@pytest.mark.parametrize("kind, second", [("tpt:800", 7.572314976267199e105),
+                                           ("tpt:1023", 4.457541538615293e134)])
+def test_tpt_second_moment_stays_finite_where_gap_squared_underflows(kind, second):
+    # the slow branches have 1 - e^{-r} below 1.5e-162, whose square is 0;
+    # the values are mpmath sums at 60 digits
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        mean, got = bulk_law_for(DistKind.parse(kind), 50.0).moments()
+    assert mean == pytest.approx(50.018110700704625, rel=1e-14)
+    assert got == pytest.approx(second, rel=1e-14)
 
 
 def test_discretized_law_mean_against_monte_carlo(rng):
