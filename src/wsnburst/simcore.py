@@ -12,8 +12,11 @@ once its parent has merged them, and computes each FIFO server's
 departures with the recursion ``d[i] = max(a[i], d[i-1]) + s[i]`` in
 closed vectorized form (``d = S + running-max(a - S_shifted)`` with
 ``S = cumsum(s)``), which reproduces the exact event-by-event sample path
-at a fraction of the cost of a serial event loop.  Statistics are collected from packets created after the warm-up
-period; buffers are infinite and overflow is counted virtually:
+at a fraction of the cost of a serial event loop.  Each queue draws its
+services _BLOCK at a time into one reused buffer, carrying the service sum
+and slack maximum between blocks, so its FIFO stage allocates 8 B per
+arrival plus a few blocks.  Statistics are collected from packets created
+after the warm-up period; buffers are infinite and overflow is counted virtually:
 ``overflow_prob`` is the fraction of post-warm-up-created arrivals that
 find at least B packets in system, ``depart[i-B] > arrive[i]``.
 """
@@ -42,6 +45,7 @@ MEAN_PACKET_BYTES = 100.0  # recorded on traces only; service is drawn per hop
 TRACE_COLUMNS = ("packet_id", "source_id", "cluster_id", "created_at",
                  "hop_node", "arrive", "depart", "size_bytes")
 _TRACE_PAYLOAD = ("source", "pid", "size")   # per-arrival arrays carried in trace mode
+_BLOCK = 1 << 15   # packets per block of a queue's service draws and FIFO walk
 
 # glibc mallopt (param, value): never trim the heap top (2 GiB - 1, the largest
 # int), pad each heap growth by 256 MiB, and serve blocks below 256 MiB from the
@@ -171,15 +175,27 @@ def source_emit(params: SourceParams, law: BulkSizeLaw, rng: np.random.Generator
     return times[times < horizon]
 
 
-def fifo_departures(arrive: np.ndarray, service: np.ndarray) -> np.ndarray:
+def fifo_departures(arrive: np.ndarray, service: np.ndarray,
+                    out: Optional[np.ndarray] = None, carry: Optional[list] = None) -> np.ndarray:
     """Departure times of a FIFO single server fed the sorted ``arrive``
     stream with per-packet service times ``service``.  Non-decreasing for
     any non-negative service (ties and zeros included), being the rounded sum
-    of two non-decreasing arrays; the overflow count and handoff rely on it."""
-    depart = np.cumsum(service)                   # S[i]
+    of two non-decreasing arrays; the overflow count and handoff rely on it.
+
+    Block by block, ``carry`` is ``[S, M]``, the service sum and slack maximum
+    before the block, advanced in place, and ``out`` takes the block's
+    departures; both scans are sequential, so the blocks give one-shot bits."""
+    total, reach = carry or (0.0, -math.inf)
+    depart = np.empty_like(service) if out is None else out
+    depart[:] = service
+    depart[:1] += total
+    np.cumsum(depart, out=depart)                 # S[i]
     slack = np.subtract(arrive, depart)
     slack += service                              # a[i] - S[i-1]
-    np.maximum.accumulate(slack, out=slack)       # max over j<=i of (a[j] - S[j-1])
+    np.fmax(slack[:1], reach, out=slack[:1])
+    np.fmax.accumulate(slack, out=slack)          # max over j<=i of (a[j] - S[j-1])
+    if carry is not None:
+        carry[:] = depart[-1], slack[-1]
     depart += slack
     return depart
 
@@ -217,6 +233,21 @@ def time_average_in_system(arrive: np.ndarray, depart: np.ndarray,
     overlap[first:] -= arrive[first:]
     np.clip(overlap, 0.0, None, out=overlap)
     return float(overlap.sum() / (hi - lo))
+
+
+def _serve(arrive: np.ndarray, rng: np.random.Generator, mean_service: float) -> np.ndarray:
+    """FIFO departures for ``arrive``, its Exponential(``mean_service``) services
+    drawn from ``rng`` _BLOCK at a time into one buffer; numpy draws ``exponential``
+    as scale times a standard exponential, so the bits equal one full draw's."""
+    depart, carry = np.empty(arrive.size), [0.0, -math.inf]
+    buf = np.empty(min(arrive.size, _BLOCK))
+    for lo in range(0, arrive.size, _BLOCK):
+        service = buf[:arrive.size - lo]
+        rng.standard_exponential(out=service)
+        service *= mean_service
+        fifo_departures(arrive[lo:lo + _BLOCK], service, out=depart[lo:lo + _BLOCK],
+                        carry=carry)
+    return depart
 
 
 def simulate(topo: TopologySpec, source: SourceParams,
@@ -257,7 +288,7 @@ def simulate(topo: TopologySpec, source: SourceParams,
             + [emitted(ci, c) for ci, c in enumerate(topo.clusters) if c.attach == node.node_id])
         arrive = merged.pop("times")
         svc_rng = substream(derive_seed(seed, _SVC_TAG, fnv1a64(node.node_id)))
-        depart = fifo_departures(arrive, svc_rng.exponential(1.0 / node.service_rate, arrive.size))
+        depart = _serve(arrive, svc_rng, 1.0 / node.service_rate)
         if node.parent is not None:
             k = np.searchsorted(depart, horizon, "right")  # later ones never reach the parent
             pending[node.node_id] = {"times": depart[:k],
