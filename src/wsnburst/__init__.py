@@ -9,8 +9,7 @@ sweep orchestration and CSV output in :mod:`wsnburst.experiments`.
 __version__ = "0.1.0"
 
 from .dists import (Deterministic, DistributionSpec, Exponential, ParameterError,
-                    Pareto, TPT, mean_of, reliability, sample, sample_array,
-                    tpt_calibrate)
+                    Pareto, TPT, sample, sample_array, tpt_calibrate)
 from .model import (DeterministicLaw, DiscretizedLaw, DistKind,
                     GeometricLaw, SourceParams, blowup_points,
                     bulk_factor, derive_source_params, mpd_bulk_limit,
@@ -23,8 +22,7 @@ from .experiments import ConfigError, SimConfig, load_config, run_sweep
 
 __all__ = [
     "Deterministic", "DistributionSpec", "Exponential", "ParameterError",
-    "Pareto", "TPT", "mean_of", "reliability", "sample", "sample_array",
-    "tpt_calibrate",
+    "Pareto", "TPT", "sample", "sample_array", "tpt_calibrate",
     "DeterministicLaw", "DiscretizedLaw", "DistKind",
     "GeometricLaw", "SourceParams", "blowup_points",
     "bulk_factor", "derive_source_params", "mpd_bulk_limit",

@@ -13,8 +13,9 @@ Four laws cover every random quantity in the traffic model:
 * ``Deterministic`` -- a point mass (value 0 is allowed and stands for a
   degenerate "never idle" OFF law).
 
-Sampling is inverse-transform throughout, with the uniform draw taken
-as the survival probability: ``reliability(spec, sample(spec, u)) == u``.
+Sampling is inverse-transform throughout, with the uniform draw taken as
+the survival probability.  ``reliability`` is the Pareto survival alone;
+the tests hold every law's survival as the oracle of ``R(sample(u)) == u``.
 """
 from __future__ import annotations
 
@@ -93,6 +94,16 @@ class TPT:
     def branch_rates(self) -> np.ndarray:
         return self.mu / self.lam ** np.arange(self.T)
 
+    @property
+    def mean(self) -> float:
+        """(1-theta)/((1-theta^T) mu) * sum_{j<T} (theta lam)^j."""
+        x = self.theta * self.lam
+        if abs(x - 1.0) < 1e-12:
+            geo = float(self.T)
+        else:
+            geo = (1.0 - x**self.T) / (1.0 - x)
+        return (1.0 - self.theta) / ((1.0 - self.theta**self.T) * self.mu) * geo
+
 
 @dataclass(frozen=True)
 class Deterministic:
@@ -106,47 +117,21 @@ class Deterministic:
 DistributionSpec = Union[Exponential, Pareto, TPT, Deterministic]
 
 
-def reliability(spec: DistributionSpec, x) -> float:
-    """Survival function R(x) = Pr(X > x).  Accepts scalars or arrays."""
+def reliability(spec: Pareto, x) -> float:
+    """Pareto survival R(x) = Pr(X > x).  Accepts scalars or arrays."""
+    if not isinstance(spec, Pareto):
+        raise ParameterError(f"reliability is the Pareto survival only, got {spec!r}")
     x = np.asarray(x, dtype=float)
     if np.any(x < 0.0):
         raise ParameterError("reliability requires x >= 0")
-    if isinstance(spec, Exponential):
-        out = np.exp(-x / spec.mean)
-    elif isinstance(spec, Pareto):
-        out = (1.0 + x / spec.scale) ** (-spec.alpha)
-    elif isinstance(spec, TPT):
-        w, rates = spec.branch_weights(), spec.branch_rates()
-        out = np.einsum("j,j...->...", w, np.exp(-np.multiply.outer(rates, x)))
-        out = np.clip(out, 0.0, 1.0)  # weight normalization is 1 +- eps
-    elif isinstance(spec, Deterministic):
-        out = np.where(x < spec.value, 1.0, 0.0)
-    else:
-        raise ParameterError(f"unknown distribution spec: {spec!r}")
+    out = (1.0 + x / spec.scale) ** (-spec.alpha)
     return float(out) if out.ndim == 0 else out
-
-
-def mean_of(spec: DistributionSpec) -> float:
-    """Analytic mean of the distribution."""
-    if isinstance(spec, (Exponential, Pareto)):
-        return spec.mean
-    if isinstance(spec, Deterministic):
-        return spec.value
-    if isinstance(spec, TPT):
-        # mean = (1-theta)/((1-theta^T) mu) * sum_{j<T} (theta lam)^j
-        x = spec.theta * spec.lam
-        if abs(x - 1.0) < 1e-12:
-            geo = float(spec.T)
-        else:
-            geo = (1.0 - x**spec.T) / (1.0 - x)
-        return (1.0 - spec.theta) / ((1.0 - spec.theta**spec.T) * spec.mu) * geo
-    raise ParameterError(f"unknown distribution spec: {spec!r}")
 
 
 def sample(spec: DistributionSpec, rng: np.random.Generator) -> float:
     """One inverse-transform draw of an OFF-time law (exponential, Pareto or
-    a point).  The uniform is the survival probability, so
-    ``reliability(spec, sample(spec, rng))`` reproduces the drawn uniform."""
+    a point).  The uniform is the survival probability: the tests' reference
+    survival at the draw reproduces the drawn uniform."""
     if isinstance(spec, Deterministic):
         return spec.value  # consumes no randomness
     u = float(open_uniform_array(rng, 1)[0])
@@ -196,4 +181,4 @@ def tpt_calibrate(theta: float, alpha: float, target_mean: float, T: int) -> TPT
     if not target_mean > 0.0:
         raise ParameterError(f"target_mean must be > 0, got {target_mean}")
     lam = theta ** (-1.0 / alpha)
-    return TPT(theta=theta, T=T, lam=lam, mu=mean_of(TPT(theta, T, lam, 1.0)) / target_mean)
+    return TPT(theta=theta, T=T, lam=lam, mu=TPT(theta, T, lam, 1.0).mean / target_mean)

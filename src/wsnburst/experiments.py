@@ -289,13 +289,13 @@ def run_point(config: SimConfig, n: int, b: float, day: int) -> list[SweepRow]:
 
 def _entity_rows(base: dict, topo: TopologySpec, res: ReplicationResult) -> list[SweepRow]:
     rows = []
-    for cluster in topo.clusters if base["case"] != 1 else ():
+    for ci, cluster in enumerate(topo.clusters if base["case"] != 1 else ()):
         cm = res.per_cluster[cluster.cluster_id]
         entry = res.per_node[cluster.attach]
         rows.append(SweepRow(
             **base, entity=cluster.cluster_id,
             mpd_s=cm.e2e_delay_s, e2e_delay_s=cm.e2e_delay_s,
-            throughput_pps=cm.throughput_pps, overflow_prob=entry.overflow_prob,
+            throughput_pps=entry.cluster_throughput_pps[ci], overflow_prob=entry.overflow_prob,
             mean_queue_len=entry.mean_queue_len, packets=cm.packets,
             saturated=res.saturated))
     sink = res.per_node[topo.sink_id]

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import dists
 from .dists import (DistributionSpec, Deterministic, Exponential, ParameterError,
-                    Pareto, mean_of, sample_array, tpt_calibrate)
+                    Pareto, sample_array, tpt_calibrate)
 from .rng import open_uniform_array
 
 EMISSION_CONST = "const"      # packets evenly spaced 1/lambda_p within a burst
@@ -185,7 +185,7 @@ class GeometricLaw:
 
 @dataclass(frozen=True)
 class DiscretizedLaw:
-    """Burst size L = max(1, round(X)) for a continuous X.
+    """Burst size L = max(1, round(X)) for a Pareto or TPT X.
 
     Both moments are evaluated deterministically (``_discretized_moments``),
     and construction fails if the mean strays more than 1% from the
@@ -197,7 +197,7 @@ class DiscretizedLaw:
 
     def __post_init__(self):
         m, second = _discretized_moments(self.dist)
-        target = mean_of(self.dist)
+        target = self.dist.mean
         if target > 0 and not abs(m - target) <= 0.01 * target:   # a NaN mean fails too
             raise ParameterError(
                 f"discretized burst-size mean {m:.6g} deviates more than 1% "
@@ -237,8 +237,8 @@ def _discretized_moments(dist: DistributionSpec) -> tuple[float, float]:
     """(E[L], E[L(L+1)/2]) of L = max(1, round(X)).
 
     With P(L >= l) = R(l - 1/2) for l >= 2 these are
-    1 + sum_{l>=2} R(l-1/2) and 1 + sum_{l>=2} l R(l-1/2).  An exponential
-    branch of rate r sums to e^{-3r/2}/(1-e^{-r}) and
+    1 + sum_{l>=2} R(l-1/2) and 1 + sum_{l>=2} l R(l-1/2).  A TPT branch,
+    an exponential of rate r, sums to e^{-3r/2}/(1-e^{-r}) and
     e^{-3r/2}(2-e^{-r})/(1-e^{-r})^2.  Pareto is summed up to
     ``_PARETO_CUTOFF`` with the tail taken as an integral; its second
     moment is infinite for alpha <= 2.
@@ -254,12 +254,9 @@ def _discretized_moments(dist: DistributionSpec) -> tuple[float, float]:
         tail = (s * s * (u0 ** (2.0 - a) / (a - 2.0) - u0 ** (1.0 - a) / (a - 1.0))
                 + 0.5 * s / (a - 1.0) * u0 ** (1.0 - a))
         return mean, 1.0 + float(np.sum((x + 0.5) * r)) + tail
-    if isinstance(dist, Exponential):
-        w, rates = np.ones(1), np.array([1.0 / dist.mean])
-    elif isinstance(dist, dists.TPT):
-        w, rates = dist.branch_weights(), dist.branch_rates()
-    else:
+    if not isinstance(dist, dists.TPT):
         raise ParameterError(f"cannot discretize {dist!r}")
+    w, rates = dist.branch_weights(), dist.branch_rates()
     head = np.exp(-1.5 * rates)    # R(3/2) of each branch
     gap = -np.expm1(-rates)        # 1 - e^{-r}
     # divided by gap one factor at a time: gap**2 underflows to 0 below about 1.5e-162

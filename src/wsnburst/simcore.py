@@ -116,7 +116,6 @@ class NodeMetrics:
 @dataclass(frozen=True)
 class ClusterMetrics:
     e2e_delay_s: float
-    throughput_pps: float      # measured at the cluster's entry queue
     packets: int               # completed post-warm-up packets
 
 
@@ -126,7 +125,6 @@ class ReplicationResult:
     per_node: dict[str, NodeMetrics]
     per_cluster: dict[str, ClusterMetrics]
     overall_e2e_s: float
-    overall_packets: int
     trace: Optional[dict[str, list]] = None   # TRACE_COLUMNS -> one list per column
 
 
@@ -317,11 +315,11 @@ def run_replication(topo: TopologySpec, source: SourceParams,
         del st   # else it would pin this child while its parent merges
     saturated = any(source.K * topo.sources_through(node.node_id)
                     >= node.service_rate * (1.0 - 1e-12) for node in topo.nodes)
-    per_cluster, overall_e2e, overall_n = _cluster_metrics(
-        clusters, states[topo.sink_id], metrics, config)
+    per_cluster, overall_e2e = _cluster_metrics(
+        clusters, states[topo.sink_id], config)
     return ReplicationResult(
         saturated=saturated, per_node=metrics, per_cluster=per_cluster,
-        overall_e2e_s=overall_e2e, overall_packets=overall_n,
+        overall_e2e_s=overall_e2e,
         trace=_trace_columns(clusters, states) if config.trace else None)
 
 
@@ -348,7 +346,7 @@ def _node_metrics(state: NodeState, config: RunConfig, n_clusters: int) -> NodeM
         cluster_throughput_pps=cluster_thr)
 
 
-def _cluster_metrics(clusters, sink, node_metrics, config: RunConfig):
+def _cluster_metrics(clusters, sink, config: RunConfig):
     done = np.searchsorted(sink.depart, config.horizon_s, "right")
     measured = sink.created[:done] > config.warmup_s
     e2e = sink.depart[:done][measured]
@@ -364,9 +362,8 @@ def _cluster_metrics(clusters, sink, node_metrics, config: RunConfig):
         n = counts[ci]
         per_cluster[cluster.cluster_id] = ClusterMetrics(
             e2e_delay_s=float(sums[ci] / n) if n else 0.0,
-            throughput_pps=node_metrics[cluster.attach].cluster_throughput_pps[ci],
             packets=n)
-    return per_cluster, overall_e2e, overall_n
+    return per_cluster, overall_e2e
 
 
 def _merge_inputs(inputs: list[dict]) -> dict:

@@ -12,11 +12,19 @@ equal bit for bit.
 
 ``stable_merge`` is the stable-argsort merge of sorted streams that the
 engine's value-sort merge of payload-free streams must equal bit for bit.
+
+``survival`` is R(x) = Pr(X > x) of every law in ``wsnburst.dists``: the
+exponential, TPT and point survivals, which the package does not compute,
+and the Pareto one taken from ``dists.reliability``.  It is the oracle for
+the TPT mean's quadrature, the burst-size moment series and the
+inverse-transform property ``survival(spec, sample(spec, u)) == u``.
 """
 import heapq
 from collections import deque
 
 import numpy as np
+
+from wsnburst.dists import Exponential, Pareto, TPT, reliability
 
 # departures sort before arrivals at equal times: a packet leaving exactly
 # when another arrives has already freed the server / left the system
@@ -80,3 +88,21 @@ def stable_merge(inputs):
     ties the earlier input goes first, and a gather of every key."""
     order = np.argsort(np.concatenate([s["times"] for s in inputs]), kind="stable")
     return {key: np.concatenate([s[key] for s in inputs])[order] for key in inputs[0]}
+
+
+def survival(spec, x):
+    """R(x) of any distribution spec, for scalars or arrays; TPT is the
+    weighted sum of its exponential branches, clipped to [0, 1] because the
+    weights sum to 1 only to rounding."""
+    if isinstance(spec, Pareto):
+        return reliability(spec, x)
+    x = np.asarray(x, dtype=float)
+    if isinstance(spec, Exponential):
+        out = np.exp(-x / spec.mean)
+    elif isinstance(spec, TPT):
+        w, rates = spec.branch_weights(), spec.branch_rates()
+        out = np.clip(np.einsum("j,j...->...", w, np.exp(-np.multiply.outer(rates, x))),
+                      0.0, 1.0)
+    else:   # Deterministic: a point mass at spec.value
+        out = np.where(x < spec.value, 1.0, 0.0)
+    return float(out) if out.ndim == 0 else out

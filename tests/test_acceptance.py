@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 import wsnburst as wb
-from wsnburst.dists import Exponential, Pareto, TPT, mean_of, sample, sample_array, tpt_calibrate
+from wsnburst.dists import Exponential, Pareto, TPT, sample, sample_array, tpt_calibrate
 from wsnburst.model import (EMISSION_CONST, EMISSION_POISSON, DistKind,
                             GeometricLaw, derive_source_params, mpd_bulk_limit,
                             mpd_smooth_limit)
@@ -241,8 +241,9 @@ def test_criterion_07_throughput_conservation(case2_sweep):
     for b, days in case2_sweep.items():
         for res in days:
             sink = res.per_node["sink"].throughput_pps
-            children = (res.per_cluster["cluster_1"].throughput_pps
-                        + res.per_cluster["cluster_2"].throughput_pps)
+            # each cluster's throughput is measured at its entry relay
+            children = (res.per_node["relay_1"].cluster_throughput_pps[0]
+                        + res.per_node["relay_2"].cluster_throughput_pps[1])
             worst = max(worst, abs(sink - children) / sink)
     ok = worst <= 0.005
     assert _report(7, ok, f"max |sink - (c1+c2)| / sink = {worst:.2e} over "
@@ -286,7 +287,7 @@ def test_criterion_09_sampler_suite():
     tpt_draws = sample_array(TPT(theta=0.5, T=1, lam=1.5, mu=mu), substream(99), 100_000)
     bitwise_ok = np.array_equal(exp_draws, tpt_draws)
 
-    calib_ok = all(abs(mean_of(tpt_calibrate(0.5, 1.4, 1.0, T)) - 1.0) < 1e-12
+    calib_ok = all(abs(tpt_calibrate(0.5, 1.4, 1.0, T).mean - 1.0) < 1e-12
                    for T in (1, 2, 5, 10, 30))
     ok = mean_ok and slope_ok and bitwise_ok and calib_ok
     assert _report(9, ok, f"pareto mean {xs.mean():.2f} (+-5%), tail slope {slope:.3f} "

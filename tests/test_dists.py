@@ -7,9 +7,10 @@ from hypothesis import given, strategies as st
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
+import wsnburst
+from reference import survival
 from wsnburst.dists import (Deterministic, Exponential, ParameterError, Pareto, TPT,
-                            mean_of, reliability, sample, sample_array,
-                            tpt_calibrate)
+                            reliability, sample, sample_array, tpt_calibrate)
 from wsnburst.rng import substream
 
 # Frozen oracle values (re-derived below where cheap):
@@ -41,7 +42,7 @@ def test_reliability_at_zero_is_one():
 def test_tpt_single_branch_is_exponential_reliability():
     # T=1 collapses to a plain exponential with rate mu
     spec = TPT(theta=0.5, T=1, lam=1.7, mu=2.0)
-    assert reliability(spec, 0.5) == pytest.approx(math.exp(-1.0), rel=1e-12)
+    assert survival(spec, 0.5) == pytest.approx(math.exp(-1.0), rel=1e-12)
 
 
 def test_pareto_median_roundtrip():
@@ -54,33 +55,40 @@ def test_pareto_median_roundtrip():
 
 def test_reliability_rejects_negative_x():
     with pytest.raises(ParameterError):
-        reliability(Exponential(1.0), -0.1)
+        reliability(Pareto(alpha=1.4, mean=50.0), -0.1)
+
+
+def test_reliability_refuses_every_law_but_pareto():
+    # the package computes only the Pareto survival; the others live in
+    # tests/reference.py
+    for spec in (Exponential(1.0), TPT(theta=0.5, T=3, lam=1.5, mu=1.0), Deterministic(2.0)):
+        with pytest.raises(ParameterError):
+            reliability(spec, 1.0)
 
 
 @pytest.mark.parametrize("spec, expected", [
     (Pareto(alpha=1.4, mean=50.0), 50.0),
     (TPT(theta=0.5, T=1, lam=1.6, mu=2.0), 0.5),
-    (Deterministic(3.25), 3.25),
     (Exponential(0.125), 0.125),
 ])
 def test_mean_of_closed_forms(spec, expected):
-    assert mean_of(spec) == pytest.approx(expected, rel=1e-12)
+    assert spec.mean == pytest.approx(expected, rel=1e-12)
 
 
 def test_tpt_mean_matches_quadrature_oracle():
     spec = TPT(theta=0.5, T=3, lam=1.64067, mu=1.0)
-    oracle, err = quad(lambda x: reliability(spec, x), 0.0, 5000.0, limit=400)
+    oracle, err = quad(lambda x: survival(spec, x), 0.0, 5000.0, limit=400)
     assert err < 1e-8
-    assert mean_of(spec) == pytest.approx(oracle, rel=1e-9)
-    assert mean_of(spec) == pytest.approx(TPT_T3_MEAN, rel=1e-12)
+    assert spec.mean == pytest.approx(oracle, rel=1e-9)
+    assert spec.mean == pytest.approx(TPT_T3_MEAN, rel=1e-12)
 
 
 def test_tpt_mean_theta_lam_unity_limit():
     # theta*lam == 1 is the removable singularity of the geometric sum
     theta = 0.5
     spec = TPT(theta=theta, T=4, lam=1.0 / theta, mu=1.0)
-    oracle, _ = quad(lambda x: reliability(spec, x), 0.0, 2000.0, limit=400)
-    assert mean_of(spec) == pytest.approx(oracle, rel=1e-9)
+    oracle, _ = quad(lambda x: survival(spec, x), 0.0, 2000.0, limit=400)
+    assert spec.mean == pytest.approx(oracle, rel=1e-9)
 
 
 def test_sample_exponential_inverse_transform():
@@ -92,7 +100,7 @@ def test_sample_pareto_u_is_survival_probability():
     spec = Pareto(alpha=1.4, mean=50.0)
     for u in (0.5, 0.1, 0.9, 0.999):
         x = sample(spec, FixedStream([u]))
-        assert reliability(spec, x) == pytest.approx(u, rel=1e-12)
+        assert survival(spec, x) == pytest.approx(u, rel=1e-12)
     assert sample(spec, FixedStream([0.5])) == pytest.approx(PARETO_MEDIAN, abs=1e-9)
 
 
@@ -132,7 +140,7 @@ def test_sampling_is_bitwise_deterministic():
 def test_empirical_mean_within_three_standard_errors(spec):
     xs = sample_array(spec, substream(2024), 1_000_000)
     se = xs.std(ddof=1) / math.sqrt(xs.size)
-    assert abs(xs.mean() - mean_of(spec)) <= 3.0 * se
+    assert abs(xs.mean() - spec.mean) <= 3.0 * se
 
 
 def test_pareto_empirical_mean_within_five_percent():
@@ -159,7 +167,7 @@ def test_tpt_calibrate_exponential_reduction():
 @pytest.mark.parametrize("T", [1, 3, 30])
 def test_tpt_calibrate_mean_error_below_1e12(T):
     spec = tpt_calibrate(theta=0.5, alpha=1.4, target_mean=1.0, T=T)
-    assert abs(mean_of(spec) - 1.0) < 1e-12
+    assert abs(spec.mean - 1.0) < 1e-12
 
 
 @given(
@@ -179,11 +187,11 @@ def test_reliability_is_nonincreasing_from_one(kind, mean, alpha, theta, T, x1, 
     else:
         spec = tpt_calibrate(theta, alpha, mean, T)
     lo, hi = sorted((x1, x2))
-    r_lo, r_hi = reliability(spec, lo), reliability(spec, hi)
-    assert reliability(spec, 0.0) == pytest.approx(1.0, rel=1e-12)
+    r_lo, r_hi = survival(spec, lo), survival(spec, hi)
+    assert survival(spec, 0.0) == pytest.approx(1.0, rel=1e-12)
     assert r_hi <= r_lo + 1e-12
     assert 0.0 <= r_hi <= 1.0
-    assert mean_of(spec) > 0.0
+    assert spec.mean > 0.0
 
 
 @pytest.mark.parametrize("bad", [
@@ -210,3 +218,8 @@ def test_tpt_refuses_a_last_branch_factor_below_the_smallest_normal_float():
     for T in (1024, 1500, 10**400):
         with pytest.raises(ParameterError, match=f"truncation level T={T} is too large"):
             TPT(theta=0.5, T=T, lam=1.5, mu=1.0)
+
+
+def test_every_public_name_resolves():
+    for name in wsnburst.__all__:
+        assert hasattr(wsnburst, name), name

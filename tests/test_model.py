@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 from scipy.special import zeta
 
 import wsnburst.model as model
-from wsnburst.dists import (Deterministic, Exponential, ParameterError, Pareto, mean_of,
-                            reliability, tpt_calibrate)
+from reference import survival
+from wsnburst.dists import Deterministic, ParameterError, Pareto, tpt_calibrate
 from wsnburst.model import (DeterministicLaw, DiscretizedLaw, DistKind, GeometricLaw,
                             SourceParams, blowup_points, bulk_factor,
                             bulk_law_for, derive_source_params,
@@ -130,8 +130,9 @@ def test_bulk_factor_infinite_for_heavy_tail():
 
 def test_bulk_factor_monte_carlo_light_tail_accuracy(rng):
     # discretized exponential ~ geometric: D should land near the mean, and
-    # the ratio estimate over the law's own draws must agree with the series
-    law = DiscretizedLaw(Exponential(mean=20.0))
+    # the ratio estimate over the law's own draws must agree with the series;
+    # a one-branch TPT is exactly the exponential of the same rate
+    law = DiscretizedLaw(tpt_calibrate(0.5, 1.4, 20.0, 1))
     d = bulk_factor(law)
     assert d == pytest.approx(20.0, rel=0.05)
     ell = law.sample_array(rng, 400_000).astype(float)
@@ -145,12 +146,12 @@ def test_bulk_factor_monte_carlo_light_tail_accuracy(rng):
 def _series_moments(dist, terms=400_000):
     """Term-by-term 1 + sum_{l>=2} R(l-1/2) and 1 + sum_{l>=2} l R(l-1/2)."""
     x = np.arange(2, terms + 1) - 0.5
-    r = reliability(dist, x)
+    r = survival(dist, x)
     return 1.0 + math.fsum(r), 1.0 + math.fsum((x + 0.5) * r)
 
 
 def test_discretized_moments_match_series_and_zeta():
-    for dist in (Exponential(mean=20.0), tpt_calibrate(0.5, 1.4, 50.0, 3),
+    for dist in (tpt_calibrate(0.5, 1.4, 20.0, 1), tpt_calibrate(0.5, 1.4, 50.0, 3),
                  tpt_calibrate(0.5, 1.4, 50.0, 10)):
         mean, second = DiscretizedLaw(dist).moments()
         oracle_mean, oracle_second = _series_moments(dist)
@@ -244,7 +245,7 @@ def test_dist_kind_parsing():
 def test_dist_kind_make_means():
     for text in ("exp", "pareto", "tpt:7"):
         spec = DistKind.parse(text).make(3.5)
-        assert mean_of(spec) == pytest.approx(3.5, rel=1e-12)
+        assert spec.mean == pytest.approx(3.5, rel=1e-12)
     assert DistKind.parse("exp").make(0.0) == Deterministic(0.0)
 
 

@@ -178,7 +178,7 @@ def test_zero_sources_give_zero_metrics():
                           seed=1)
     m = res.per_node["sink"]
     assert m.mpd_s == 0.0 and m.throughput_pps == 0.0 and m.overflow_prob == 0.0
-    assert m.packets == 0 and res.overall_packets == 0
+    assert m.packets == 0 and sum(c.packets for c in res.per_cluster.values()) == 0
 
 
 def test_empty_cluster_beside_a_live_one():
@@ -189,7 +189,8 @@ def test_empty_cluster_beside_a_live_one():
     res = run_replication(topo, bursty_params(),
                           RunConfig(horizon_s=100.0, warmup_s=10.0), seed=1)
     assert res.per_cluster["cluster_1"].packets == 0
-    assert res.per_cluster["cluster_2"].packets == res.overall_packets > 0
+    assert res.per_cluster["cluster_2"].packets == sum(
+        c.packets for c in res.per_cluster.values()) > 0
 
 
 @pytest.mark.parametrize("case", ["case3", "empty_clusters"])
@@ -216,7 +217,7 @@ def test_cluster_counts_equal_bincount(case):
     done = np.searchsorted(sink.depart, 600.0, "right")
     packets = np.bincount(sink.cluster[:done][sink.created[:done] > 60.0], minlength=k)
     assert [res.per_cluster[c.cluster_id].packets for c in topo.clusters] == packets.tolist()
-    assert res.overall_packets == packets.sum() > 0
+    assert sum(c.packets for c in res.per_cluster.values()) == packets.sum() > 0
 
 
 def test_mm1_poisson_validation_mode_short():
@@ -300,8 +301,8 @@ def test_case2_throughput_conservation_single_day():
     res = run_replication(topo, src, RunConfig(horizon_s=14_400.0, warmup_s=3_600.0),
                           seed=8)
     sink_thr = res.per_node["sink"].throughput_pps
-    child_thr = (res.per_cluster["cluster_1"].throughput_pps
-                 + res.per_cluster["cluster_2"].throughput_pps)
+    child_thr = (res.per_node["relay_1"].cluster_throughput_pps[0]
+                 + res.per_node["relay_2"].cluster_throughput_pps[1])
     assert abs(sink_thr - child_thr) / sink_thr < 0.005
 
 
