@@ -18,7 +18,11 @@ and slack maximum between blocks, so its FIFO stage allocates 8 B per
 arrival plus a few blocks.  Statistics are collected from packets created
 after the warm-up period; buffers are infinite and overflow is counted virtually:
 ``overflow_prob`` is the fraction of post-warm-up-created arrivals that
-find at least B packets in system, ``depart[i-B] > arrive[i]``.
+find at least B packets in system, ``depart[i-B] > arrive[i]``.  One pass
+per queue takes its metrics, and at the sink the end-to-end sums; at a
+queue fed by emission alone (``created is arrive``) the measured arrivals
+are the suffix past the warm-up, taken by slices, not by a mask.  In const
+mode a source builds no packet of a burst that starts past the horizon.
 """
 from __future__ import annotations
 
@@ -136,7 +140,9 @@ def source_emit(params: SourceParams, law: BulkSizeLaw, rng: np.random.Generator
     1/lambda_p apart, or after Exponential(1/lambda_p) gaps in poisson
     mode; either way the burst occupies L slots so the long-run rate is
     exactly K), then stays quiet for an OFF draw.  The source cold-starts
-    in an OFF period; bursts cut by the horizon are emitted partially.
+    in an OFF period; bursts cut by the horizon are emitted partially.  In
+    const mode only the bursts that start before the horizon are built;
+    poisson mode draws a gap per packet, so it builds its last chunk whole.
     """
     if not horizon > 0.0:
         raise ParameterError(f"horizon must be > 0, got {horizon}")
@@ -148,7 +154,7 @@ def source_emit(params: SourceParams, law: BulkSizeLaw, rng: np.random.Generator
     poisson = params.emission_mode == EMISSION_POISSON
     off_dist = params.off_dist
 
-    chunks: list[np.ndarray] = []
+    chunks = [np.empty(0)]   # the empty head is all a source silent to the horizon returns
     t = float(sample(off_dist, rng))
     while t < horizon:
         want = int((horizon - t) / cycle * 1.25) + 16
@@ -161,16 +167,26 @@ def source_emit(params: SourceParams, law: BulkSizeLaw, rng: np.random.Generator
         if poisson:
             inc = rng.exponential(1.0 / lam_p, int(sizes.sum()))
         else:
+            # only bursts starting before the horizon: burst j+1 starts at t + sum_{i<=j}
+            # (sizes[i]/lambda_p + offs[i]), up to rounding that the 1e-6 margin covers
+            starts = np.cumsum(sizes / lam_p + offs)
+            starts += t
+            keep = int(np.searchsorted(starts, horizon * (1.0 + 1e-6))) + 1
+            sizes, offs = sizes[:keep], offs[:keep]
             inc = np.full(int(sizes.sum()), 1.0 / lam_p)
         inc[np.cumsum(sizes[:-1])] += offs[:-1]   # each later burst's first packet
         if not poisson:
             inc[0] = 0.0      # constant-rate bursts begin with a packet
-        emissions = np.cumsum(inc)
+        emissions = np.cumsum(inc, out=inc)
         emissions += t
-        t = float(emissions[-1] + offs[-1] + (0.0 if poisson else 1.0 / lam_p))
         chunks.append(emissions)
-    times = np.concatenate(chunks) if chunks else np.empty(0)
-    return times[times < horizon]
+        if sizes.size < want:
+            break     # a dropped burst starts at or past the horizon, so t would too
+        t = float(emissions[-1] + offs[-1] + (0.0 if poisson else 1.0 / lam_p))
+    # only the last chunk reaches the horizon: each earlier one ends before the t after it;
+    # a lone chunk is returned as a view of its buffer, not copied
+    chunks[-1] = chunks[-1][:np.searchsorted(chunks[-1], horizon)]
+    return chunks[1] if len(chunks) == 2 else np.concatenate(chunks)
 
 
 def fifo_departures(arrive: np.ndarray, service: np.ndarray,
@@ -204,17 +220,21 @@ def packets_seen(arrive: np.ndarray, depart: np.ndarray) -> np.ndarray:
         depart, arrive, side="right")
 
 
-def estimate_overflow(state: NodeState, mask: np.ndarray, B: int) -> float:
-    """Fraction of the arrivals selected by ``mask`` that find >= ``B``
-    packets in the node: departures are sorted, so arrival i does iff
-    ``depart[i-B] > arrive[i]``.  Buffers are infinite; nothing is dropped.
-    With no selected arrivals the probability is 0."""
-    n = int(np.count_nonzero(mask))
-    if n == 0:
-        return 0.0
-    k = max(state.arrive.size - B, 0)     # arrivals with at least B predecessors
-    hits = np.count_nonzero((state.depart[:k] > state.arrive[B:]) & mask[B:])
-    return hits / n
+def estimate_overflow(state: NodeState, measured, B: int) -> float:
+    """Fraction of the measured arrivals that find >= ``B`` packets in the
+    node: departures are sorted, so arrival i does iff ``depart[i-B] >
+    arrive[i]``.  ``measured`` is a boolean mask over the arrivals, or an
+    index ``first`` selecting the suffix ``[first:]``.  Buffers are
+    infinite; nothing is dropped.  With no measured arrivals it is 0."""
+    n_all = state.arrive.size
+    k = max(n_all - B, 0)     # arrivals with at least B predecessors
+    if isinstance(measured, np.ndarray):
+        n = int(np.count_nonzero(measured))
+        hits = np.count_nonzero((state.depart[:k] > state.arrive[B:]) & measured[B:])
+    else:
+        n, lo = n_all - measured, max(B, measured)
+        hits = np.count_nonzero(state.depart[lo - B:k] > state.arrive[lo:])
+    return hits / n if n else 0.0
 
 
 def time_average_in_system(arrive: np.ndarray, depart: np.ndarray,
@@ -298,8 +318,8 @@ def simulate(topo: TopologySpec, source: SourceParams,
 def run_replication(topo: TopologySpec, source: SourceParams,
                     config: RunConfig, seed: int) -> ReplicationResult:
     """Execute one replication (``simulate``), taking each node's metrics as
-    its state streams by; only the sink's state is kept (every node's in
-    trace mode).
+    its state streams by, and the end-to-end delays from the sink's; states
+    are kept only in trace mode.
 
     A node whose mean load, ``source.K`` times the sources whose packets
     pass through it, reaches its service rate is allowed but flagged
@@ -309,61 +329,60 @@ def run_replication(topo: TopologySpec, source: SourceParams,
     metrics: dict[str, NodeMetrics] = {}
     states: dict[str, NodeState] = {}
     for node_id, st in simulate(topo, source, config, seed):
-        metrics[node_id] = _node_metrics(st, config, len(clusters))
-        if config.trace or node_id == topo.sink_id:
+        metrics[node_id], e2e = _node_metrics(st, config, len(clusters), node_id == topo.sink_id)
+        if config.trace:
             states[node_id] = st
         del st   # else it would pin this child while its parent merges
+    sums, counts = e2e   # the sink is served last
     saturated = any(source.K * topo.sources_through(node.node_id)
                     >= node.service_rate * (1.0 - 1e-12) for node in topo.nodes)
-    per_cluster, overall_e2e = _cluster_metrics(
-        clusters, states[topo.sink_id], config)
+    overall_n = sum(counts)
+    per_cluster = {cluster.cluster_id: ClusterMetrics(
+        e2e_delay_s=float(sums[ci] / counts[ci]) if counts[ci] else 0.0, packets=counts[ci])
+        for ci, cluster in enumerate(clusters)}
     return ReplicationResult(
         saturated=saturated, per_node=metrics, per_cluster=per_cluster,
-        overall_e2e_s=overall_e2e,
+        overall_e2e_s=float(sums.sum() / overall_n) if overall_n else 0.0,
         trace=_trace_columns(clusters, states) if config.trace else None)
 
 
-def _node_metrics(state: NodeState, config: RunConfig, n_clusters: int) -> NodeMetrics:
+def _node_metrics(state: NodeState, config: RunConfig, n_clusters: int, sink: bool):
+    """A queue's ``NodeMetrics``, and at the sink its per-cluster end-to-end
+    delay sums and counts (else None), in one pass: where ``created is arrive``
+    the measured arrivals are the suffix ``[first:]``, else a mask built once."""
     horizon, warmup = config.horizon_s, config.warmup_s
     n, window = state.arrive.size, horizon - warmup
-    first = np.searchsorted(state.arrive, warmup, "right")   # arrivals never exceed the horizon
+    first = int(np.searchsorted(state.arrive, warmup, "right"))   # arrivals end before the horizon
     done = np.searchsorted(state.depart, horizon, "right")
     throughput = float((n - first) / window)
-
-    created_mask = state.created > warmup
-    sojourn = state.depart[:done][created_mask[:done]]
-    sojourn -= state.arrive[:done][created_mask[:done]]
+    suffix = state.created is state.arrive
+    if suffix:
+        measured, packets, idx = first, n - first, state.cluster[first:done]
+        sojourn = state.depart[first:done] - state.arrive[first:done]
+    else:
+        measured = state.created > warmup
+        packets, kept = int(measured.sum()), measured[:done]
+        sojourn = state.depart[:done][kept]
+        sojourn -= state.arrive[:done][kept]
     mpd = float(np.mean(sojourn)) if sojourn.size else 0.0
+    if sink and not suffix:   # built once the sojourns are freed: both alive set the peak
+        del sojourn
+        sojourn = state.depart[:done][kept]
+        sojourn -= state.created[:done][kept]
+        idx = state.cluster[:done][kept]
+    # the e2e delays (at a suffix sink, the sojourns): bincount's sequential
+    # summation order sets the bits of their sums; counts are exact
+    e2e = (np.bincount(idx, weights=sojourn, minlength=n_clusters),
+           [np.count_nonzero(idx == ci) for ci in range(n_clusters)]) if sink else None
     del sojourn   # before the overlap array of time_average_in_system is built
-    overflow = estimate_overflow(state, created_mask, config.threshold)
+    overflow = estimate_overflow(state, measured, config.threshold)
     queue_len = time_average_in_system(state.arrive, state.depart, warmup, horizon)
 
     idx = state.cluster[first:]
     cluster_thr = {ci: float(np.count_nonzero(idx == ci) / window) for ci in range(n_clusters)}
     return NodeMetrics(
         mpd_s=mpd, throughput_pps=throughput, overflow_prob=overflow, mean_queue_len=queue_len,
-        packets=int(created_mask.sum()), arrivals_total=n,
-        cluster_throughput_pps=cluster_thr)
-
-
-def _cluster_metrics(clusters, sink, config: RunConfig):
-    done = np.searchsorted(sink.depart, config.horizon_s, "right")
-    measured = sink.created[:done] > config.warmup_s
-    e2e = sink.depart[:done][measured]
-    e2e -= sink.created[:done][measured]
-    idx = sink.cluster[:done][measured]
-    # bincount's sequential summation order sets the bits of the e2e sums; counts are exact
-    sums = np.bincount(idx, weights=e2e, minlength=len(clusters))
-    counts = [np.count_nonzero(idx == ci) for ci in range(len(clusters))]
-    overall_n = sum(counts)
-    overall_e2e = float(sums.sum() / overall_n) if overall_n else 0.0
-    per_cluster: dict[str, ClusterMetrics] = {}
-    for ci, cluster in enumerate(clusters):
-        n = counts[ci]
-        per_cluster[cluster.cluster_id] = ClusterMetrics(
-            e2e_delay_s=float(sums[ci] / n) if n else 0.0,
-            packets=n)
-    return per_cluster, overall_e2e
+        packets=packets, arrivals_total=n, cluster_throughput_pps=cluster_thr), e2e
 
 
 def _merge_inputs(inputs: list[dict]) -> dict:

@@ -13,6 +13,13 @@ equal bit for bit.
 ``stable_merge`` is the stable-argsort merge of sorted streams that the
 engine's value-sort merge of payload-free streams must equal bit for bit.
 
+``emit_then_cut`` is the emission that builds every burst of its last
+chunk and then drops the packets past the horizon, and
+``node_metrics_masked`` and ``cluster_metrics_masked`` are the separate
+per-queue and sink passes that select the post-warm-up packets by a mask
+everywhere; the engine's horizon cut and fused suffix pass must equal them
+bit for bit.
+
 ``survival`` is R(x) = Pr(X > x) of every law in ``wsnburst.dists``: the
 exponential, TPT and point survivals, which the package does not compute,
 and the Pareto one taken from ``dists.reliability``.  It is the oracle for
@@ -20,11 +27,15 @@ the TPT mean's quadrature, the burst-size moment series and the
 inverse-transform property ``survival(spec, sample(spec, u)) == u``.
 """
 import heapq
+import math
 from collections import deque
 
 import numpy as np
 
-from wsnburst.dists import Exponential, Pareto, TPT, reliability
+from wsnburst.dists import Exponential, Pareto, TPT, reliability, sample, sample_array
+from wsnburst.model import EMISSION_POISSON
+from wsnburst.simcore import (ClusterMetrics, NodeMetrics, estimate_overflow,
+                              time_average_in_system)
 
 # departures sort before arrivals at equal times: a packet leaving exactly
 # when another arrives has already freed the server / left the system
@@ -106,3 +117,71 @@ def survival(spec, x):
     else:   # Deterministic: a point mass at spec.value
         out = np.where(x < spec.value, 1.0, 0.0)
     return float(out) if out.ndim == 0 else out
+
+
+def emit_then_cut(params, law, rng, horizon):
+    """``simcore.source_emit`` with every drawn burst built: the chunks are
+    concatenated and the emissions at or past the horizon dropped."""
+    lam_p = params.lambda_p
+    span = horizon * lam_p
+    cap = int(span + 6.0 * math.sqrt(span) + 64.0)
+    cycle = params.on_mean + params.off_mean
+    poisson = params.emission_mode == EMISSION_POISSON
+    chunks = []
+    t = float(sample(params.off_dist, rng))
+    while t < horizon:
+        want = int((horizon - t) / cycle * 1.25) + 16
+        sizes = law.sample_array(rng, want)
+        np.minimum(sizes, cap, out=sizes)
+        offs = sample_array(params.off_dist, rng, want)
+        if poisson:
+            inc = rng.exponential(1.0 / lam_p, int(sizes.sum()))
+        else:
+            inc = np.full(int(sizes.sum()), 1.0 / lam_p)
+        inc[np.cumsum(sizes[:-1])] += offs[:-1]
+        if not poisson:
+            inc[0] = 0.0
+        emissions = np.cumsum(inc)
+        emissions += t
+        t = float(emissions[-1] + offs[-1] + (0.0 if poisson else 1.0 / lam_p))
+        chunks.append(emissions)
+    times = np.concatenate(chunks) if chunks else np.empty(0)
+    return times[times < horizon]
+
+
+def node_metrics_masked(state, config, n_clusters):
+    """One queue's ``NodeMetrics``, its post-warm-up packets selected by the
+    mask ``created > warmup`` and compressed."""
+    horizon, warmup = config.horizon_s, config.warmup_s
+    n, window = state.arrive.size, horizon - warmup
+    first = np.searchsorted(state.arrive, warmup, "right")
+    done = np.searchsorted(state.depart, horizon, "right")
+    created_mask = state.created > warmup
+    sojourn = state.depart[:done][created_mask[:done]]
+    sojourn -= state.arrive[:done][created_mask[:done]]
+    idx = state.cluster[first:]
+    return NodeMetrics(
+        mpd_s=float(np.mean(sojourn)) if sojourn.size else 0.0,
+        throughput_pps=float((n - first) / window),
+        overflow_prob=estimate_overflow(state, created_mask, config.threshold),
+        mean_queue_len=time_average_in_system(state.arrive, state.depart, warmup, horizon),
+        packets=int(created_mask.sum()), arrivals_total=n,
+        cluster_throughput_pps={ci: float(np.count_nonzero(idx == ci) / window)
+                                for ci in range(n_clusters)})
+
+
+def cluster_metrics_masked(clusters, sink, config):
+    """(per-cluster ``ClusterMetrics``, overall end-to-end delay) from the
+    sink's state: one ``bincount`` of the masked ``depart - created``."""
+    done = np.searchsorted(sink.depart, config.horizon_s, "right")
+    measured = sink.created[:done] > config.warmup_s
+    e2e = sink.depart[:done][measured]
+    e2e -= sink.created[:done][measured]
+    idx = sink.cluster[:done][measured]
+    sums = np.bincount(idx, weights=e2e, minlength=len(clusters))
+    counts = [np.count_nonzero(idx == ci) for ci in range(len(clusters))]
+    overall_n = sum(counts)
+    per_cluster = {c.cluster_id: ClusterMetrics(
+        e2e_delay_s=float(sums[ci] / counts[ci]) if counts[ci] else 0.0, packets=counts[ci])
+        for ci, c in enumerate(clusters)}
+    return per_cluster, float(sums.sum() / overall_n) if overall_n else 0.0
