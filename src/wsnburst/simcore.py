@@ -19,10 +19,10 @@ arrival plus a few blocks.  Statistics are collected from packets created
 after the warm-up period; buffers are infinite and overflow is counted virtually:
 ``overflow_prob`` is the fraction of post-warm-up-created arrivals that
 find at least B packets in system, ``depart[i-B] > arrive[i]``.  One pass
-per queue takes its metrics, and at the sink the end-to-end sums; at a
-queue fed by emission alone (``created is arrive``) the measured arrivals
-are the suffix past the warm-up, taken by slices, not by a mask.  In const
-mode a source builds no packet of a burst that starts past the horizon.
+per queue takes its metrics, and at the sink the end-to-end sums, from the
+suffix of arrivals past the warm-up, a slice; behind relays (``created is
+not arrive``) a filter over that suffix drops the packets created before it.
+In const mode a source builds no packet of a burst that starts past the horizon.
 """
 from __future__ import annotations
 
@@ -220,21 +220,18 @@ def packets_seen(arrive: np.ndarray, depart: np.ndarray) -> np.ndarray:
         depart, arrive, side="right")
 
 
-def estimate_overflow(state: NodeState, measured, B: int) -> float:
+def estimate_overflow(state: NodeState, first: int, B: int, keep=None) -> float:
     """Fraction of the measured arrivals that find >= ``B`` packets in the
     node: departures are sorted, so arrival i does iff ``depart[i-B] >
-    arrive[i]``.  ``measured`` is a boolean mask over the arrivals, or an
-    index ``first`` selecting the suffix ``[first:]``.  Buffers are
+    arrive[i]``.  The measured arrivals are the suffix ``[first:]``, or those
+    of it where the boolean ``keep`` over that suffix is True.  Buffers are
     infinite; nothing is dropped.  With no measured arrivals it is 0."""
-    n_all = state.arrive.size
-    k = max(n_all - B, 0)     # arrivals with at least B predecessors
-    if isinstance(measured, np.ndarray):
-        n = int(np.count_nonzero(measured))
-        hits = np.count_nonzero((state.depart[:k] > state.arrive[B:]) & measured[B:])
-    else:
-        n, lo = n_all - measured, max(B, measured)
-        hits = np.count_nonzero(state.depart[lo - B:k] > state.arrive[lo:])
-    return hits / n if n else 0.0
+    lo = max(B, first)    # arrivals with at least B predecessors
+    hits = state.depart[lo - B:max(state.arrive.size - B, 0)] > state.arrive[lo:]
+    if keep is not None:
+        hits &= keep[lo - first:]
+    n = state.arrive.size - first if keep is None else int(np.count_nonzero(keep))
+    return np.count_nonzero(hits) / n if n else 0.0
 
 
 def time_average_in_system(arrive: np.ndarray, depart: np.ndarray,
@@ -348,41 +345,37 @@ def run_replication(topo: TopologySpec, source: SourceParams,
 
 def _node_metrics(state: NodeState, config: RunConfig, n_clusters: int, sink: bool):
     """A queue's ``NodeMetrics``, and at the sink its per-cluster end-to-end
-    delay sums and counts (else None), in one pass: where ``created is arrive``
-    the measured arrivals are the suffix ``[first:]``, else a mask built once."""
+    delay sums and counts (else None), in one pass.  A packet arrives after it
+    is created, so the measured arrivals lie in the suffix ``[first:]`` past
+    the warm-up; only where ``created is not arrive`` (behind relays) does a
+    filter ``keep`` over that suffix drop those created before it."""
     horizon, warmup = config.horizon_s, config.warmup_s
     n, window = state.arrive.size, horizon - warmup
     first = int(np.searchsorted(state.arrive, warmup, "right"))   # arrivals end before the horizon
     done = np.searchsorted(state.depart, horizon, "right")
-    throughput = float((n - first) / window)
-    suffix = state.created is state.arrive
-    if suffix:
-        measured, packets, idx = first, n - first, state.cluster[first:done]
-        sojourn = state.depart[first:done] - state.arrive[first:done]
-    else:
-        measured = state.created > warmup
-        packets, kept = int(measured.sum()), measured[:done]
-        sojourn = state.depart[:done][kept]
-        sojourn -= state.arrive[:done][kept]
+    keep = None if state.created is state.arrive else state.created[first:] > warmup
+    kept = slice(None) if keep is None else keep[:max(done - first, 0)]
+    sojourn = (state.depart[first:done] - state.arrive[first:done])[kept]
     mpd = float(np.mean(sojourn)) if sojourn.size else 0.0
-    if sink and not suffix:   # built once the sojourns are freed: both alive set the peak
-        del sojourn
-        sojourn = state.depart[:done][kept]
-        sojourn -= state.created[:done][kept]
-        idx = state.cluster[:done][kept]
-    # the e2e delays (at a suffix sink, the sojourns): bincount's sequential
-    # summation order sets the bits of their sums; counts are exact
-    e2e = (np.bincount(idx, weights=sojourn, minlength=n_clusters),
-           [np.count_nonzero(idx == ci) for ci in range(n_clusters)]) if sink else None
+    e2e = None
+    if sink:   # bincount's sequential summation order sets the bits of the e2e sums
+        if keep is not None:   # built once the sojourns are freed: both alive set the peak
+            del sojourn
+            sojourn = (state.depart[first:done] - state.created[first:done])[kept]
+        idx = state.cluster[first:done][kept]   # unfiltered, the e2e delays are the sojourns
+        e2e = (np.bincount(idx, weights=sojourn, minlength=n_clusters),
+               [np.count_nonzero(idx == ci) for ci in range(n_clusters)])
     del sojourn   # before the overlap array of time_average_in_system is built
-    overflow = estimate_overflow(state, measured, config.threshold)
+    overflow = estimate_overflow(state, first, config.threshold, keep)
     queue_len = time_average_in_system(state.arrive, state.depart, warmup, horizon)
 
     idx = state.cluster[first:]
     cluster_thr = {ci: float(np.count_nonzero(idx == ci) / window) for ci in range(n_clusters)}
     return NodeMetrics(
-        mpd_s=mpd, throughput_pps=throughput, overflow_prob=overflow, mean_queue_len=queue_len,
-        packets=packets, arrivals_total=n, cluster_throughput_pps=cluster_thr), e2e
+        mpd_s=mpd, throughput_pps=float((n - first) / window), overflow_prob=overflow,
+        mean_queue_len=queue_len, arrivals_total=n,
+        packets=n - first if keep is None else int(np.count_nonzero(keep)),
+        cluster_throughput_pps=cluster_thr), e2e
 
 
 def _merge_inputs(inputs: list[dict]) -> dict:

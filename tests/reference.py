@@ -17,8 +17,8 @@ engine's value-sort merge of payload-free streams must equal bit for bit.
 chunk and then drops the packets past the horizon, and
 ``node_metrics_masked`` and ``cluster_metrics_masked`` are the separate
 per-queue and sink passes that select the post-warm-up packets by a mask
-everywhere; the engine's horizon cut and fused suffix pass must equal them
-bit for bit.
+over every arrival; the engine's horizon cut and its one pass over the
+suffix past the warm-up, filtered behind relays, must equal them bit for bit.
 
 ``survival`` is R(x) = Pr(X > x) of every law in ``wsnburst.dists``: the
 exponential, TPT and point survivals, which the package does not compute,
@@ -34,8 +34,7 @@ import numpy as np
 
 from wsnburst.dists import Exponential, Pareto, TPT, reliability, sample, sample_array
 from wsnburst.model import EMISSION_POISSON
-from wsnburst.simcore import (ClusterMetrics, NodeMetrics, estimate_overflow,
-                              time_average_in_system)
+from wsnburst.simcore import ClusterMetrics, NodeMetrics, time_average_in_system
 
 # departures sort before arrivals at equal times: a packet leaving exactly
 # when another arrives has already freed the server / left the system
@@ -151,21 +150,24 @@ def emit_then_cut(params, law, rng, horizon):
 
 def node_metrics_masked(state, config, n_clusters):
     """One queue's ``NodeMetrics``, its post-warm-up packets selected by the
-    mask ``created > warmup`` and compressed."""
-    horizon, warmup = config.horizon_s, config.warmup_s
+    mask ``created > warmup`` over every arrival and compressed; overflow is
+    counted by the full-length compare ``depart[:n-B] > arrive[B:]``."""
+    horizon, warmup, B = config.horizon_s, config.warmup_s, config.threshold
     n, window = state.arrive.size, horizon - warmup
     first = np.searchsorted(state.arrive, warmup, "right")
     done = np.searchsorted(state.depart, horizon, "right")
     created_mask = state.created > warmup
+    measured = int(created_mask.sum())
+    hits = np.count_nonzero((state.depart[:max(n - B, 0)] > state.arrive[B:]) & created_mask[B:])
     sojourn = state.depart[:done][created_mask[:done]]
     sojourn -= state.arrive[:done][created_mask[:done]]
     idx = state.cluster[first:]
     return NodeMetrics(
         mpd_s=float(np.mean(sojourn)) if sojourn.size else 0.0,
         throughput_pps=float((n - first) / window),
-        overflow_prob=estimate_overflow(state, created_mask, config.threshold),
+        overflow_prob=hits / measured if measured else 0.0,
         mean_queue_len=time_average_in_system(state.arrive, state.depart, warmup, horizon),
-        packets=int(created_mask.sum()), arrivals_total=n,
+        packets=measured, arrivals_total=n,
         cluster_throughput_pps={ci: float(np.count_nonzero(idx == ci) / window)
                                 for ci in range(n_clusters)})
 

@@ -241,26 +241,26 @@ def test_cluster_counts_equal_bincount(case):
 
 
 def _masked_replication(topo, src, config, seed):
-    """(per_node, per_cluster, overall_e2e_s) of one replication by the
-    oracle's separate masked passes over simulate's states."""
+    """(per_node, per_cluster, overall_e2e_s, sink state) of one replication
+    by the oracle's separate masked passes over simulate's states."""
     per_node = {}
     for node_id, state in simulate(topo, src, config, seed):
         per_node[node_id] = node_metrics_masked(state, config, len(topo.clusters))
         if node_id == topo.sink_id:
             sink = state
-    return (per_node, *cluster_metrics_masked(list(topo.clusters), sink, config))
+    return (per_node, *cluster_metrics_masked(list(topo.clusters), sink, config), sink)
 
 
 @pytest.mark.parametrize("case", ["star", "case2", "case3", "empty_clusters", "trace"])
 def test_replication_metrics_equal_the_masked_oracle(case):
-    # the star sink and every relay take the suffix path, the case-2/3 sinks
-    # the mask path; repr prints each float's shortest round-trip digits (and
-    # the type of each count), so equal reprs mean equal bits
+    # every queue takes the suffix past the warm-up, and only the case-2/3
+    # sinks filter it; repr prints each float's shortest round-trip digits
+    # (and the type of each count), so equal reprs mean equal bits
     config = RunConfig(horizon_s=1800.0, warmup_s=300.0, threshold=10)
     if case == "star":
         topo, src = wb.build_star(3), bursty_params(n=3, b=0.9)
-    elif case in ("case2", "case3"):
-        topo = (wb.build_case2 if case == "case2" else wb.build_case3)(2, 50.0)
+    elif case in ("case2", "case3"):   # at rho=.5, seed 11, no relay is busy as the warm-up ends
+        topo = (wb.build_case2 if case == "case2" else wb.build_case3)(2, 50.0, 0.7)
         src = bursty_params(n=2, b=0.9)
     elif case == "empty_clusters":   # the tree of test_cluster_counts_equal_bincount
         topo = TopologySpec(nodes=(NodeSpec("sink", None, service_rate=100.0),),
@@ -272,7 +272,11 @@ def test_replication_metrics_equal_the_masked_oracle(case):
         topo, src = wb.build_case3(1, 50.0), bursty_params(b=0.7)
         config = replace(config, trace=True)
     res = run_replication(topo, src, config, seed=11)
-    per_node, per_cluster, overall_e2e = _masked_replication(topo, src, config, seed=11)
+    per_node, per_cluster, overall_e2e, sink = _masked_replication(topo, src, config, seed=11)
+    if case in ("case2", "case3", "trace"):   # the filter drops a packet of the suffix
+        first = np.searchsorted(sink.arrive, config.warmup_s, "right")
+        assert sink.created is not sink.arrive
+        assert np.any(sink.created[first:] <= config.warmup_s)
     assert repr(res.per_node) == repr(per_node)
     assert repr(res.per_cluster) == repr(per_cluster)
     assert repr(res.overall_e2e_s) == repr(overall_e2e)
@@ -281,9 +285,9 @@ def test_replication_metrics_equal_the_masked_oracle(case):
 
 def test_suffix_and_mask_paths_give_identical_node_metrics():
     # a star sink's created is its arrive, so its metrics take the suffix
-    # [first:]; a copy of created forces the mask.  The state is built so
-    # that a suffix one short changes the packet count, and so that arrivals
-    # in [B, first) find >= B: an overflow suffix from B would count them
+    # [first:] unfiltered; a copy of created forces the filter.  The state is
+    # built so that a suffix one short changes the packet count, and so that
+    # arrivals in [B, first) find >= B: an overflow suffix from B would count them
     config = RunConfig(horizon_s=1200.0, warmup_s=300.0, threshold=5)
     (_, state), = simulate(wb.build_star(2), bursty_params(n=2, b=0.9), config, seed=3)
     assert state.created is state.arrive
@@ -442,7 +446,7 @@ def test_overflow_busy_period_threshold_one():
     arrive = np.array([0.0, 0.01, 0.02])
     depart = fifo_departures(arrive, np.array([1.0, 1.0, 1.0]))
     state = NodeState(arrive, depart, created=arrive, cluster=np.zeros(3, dtype=np.int16))
-    assert estimate_overflow(state, state.created > -1.0, 1) == pytest.approx(2.0 / 3.0)
+    assert estimate_overflow(state, 0, 1, state.created > -1.0) == pytest.approx(2.0 / 3.0)
 
 
 def test_overflow_unreachable_threshold_is_zero():
@@ -468,7 +472,7 @@ def test_overflow_counts_against_the_run_configs_threshold():
     probs = []
     for B in (1, 10):
         res = run_replication(topo, src, replace(config, threshold=B), seed=12)
-        probs.append(estimate_overflow(state, state.created > 100.0, B))
+        probs.append(estimate_overflow(state, 0, B, state.created > 100.0))
         assert res.per_node["sink"].overflow_prob == probs[-1]
     assert probs[0] > probs[1] > 0.0
 
@@ -477,25 +481,27 @@ def test_overflow_counts_against_the_run_configs_threshold():
        load=st.sampled_from([0.2, 0.9, 3.0]), on_grid=st.booleans(),
        warm_frac=st.floats(0.0, 1.0), data=st.data())
 def test_overflow_shifted_compare_is_exact(n, seed, load, on_grid, warm_frac, data):
-    # tied arrivals, exponential services, a random warm-up mask, B in 1..n+3;
-    # on a grid of 1/4 s the sums are exact, so departures land on arrival
-    # times (a packet leaving as another arrives is not seen) and some
-    # services are 0
+    # tied arrivals, exponential services, a suffix [first:] with first in
+    # 0..n, on it no filter or a random one, B in 1..n+3; on a grid of 1/4 s
+    # the sums are exact, so departures land on arrival times (a packet
+    # leaving as another arrives is not seen) and some services are 0
     rng = np.random.default_rng(seed)
     arrive = _tied_arrivals(rng, n, 10.0)
     service = rng.exponential(load * 10.0 / n, n)
     if on_grid:
         arrive, service = np.floor(arrive * 4.0) / 4.0, np.floor(service * 4.0) / 4.0
-    mask = rng.random(n) < warm_frac
+    first = data.draw(st.integers(0, n), label="first")
+    keep = rng.random(n - first) < warm_frac if data.draw(st.booleans(), label="filter") else None
     B = data.draw(st.integers(1, n + 3), label="B")
     depart = fifo_departures(arrive, service)
     _, oracle_seen = fifo_event_loop(arrive.tolist(), service.tolist())
     state = NodeState(arrive, depart, created=arrive, cluster=np.zeros(n, dtype=np.int16))
-    prob = estimate_overflow(state, mask, B)
-    measured = int(mask.sum())
+    prob = estimate_overflow(state, first, B, keep)
+    measured = np.zeros(n, dtype=bool)
+    measured[first:] = True if keep is None else keep
     for seen in (np.asarray(oracle_seen), packets_seen(arrive, depart)):
-        hits = int(np.count_nonzero(seen[mask] >= B))
-        assert prob == (hits / measured if measured else 0.0)
+        hits = int(np.count_nonzero(seen[measured] >= B))
+        assert prob == (hits / measured.sum() if measured.any() else 0.0)
 
 
 @pytest.mark.parametrize("case", ["star", "case3"])
@@ -511,7 +517,7 @@ def test_overflow_equals_packets_seen_count_on_replications(case):
         n, mask = node.arrive.size, node.created > 60.0
         seen = packets_seen(node.arrive, node.depart)
         for B in (1, 2, 10, 1000, n - 1, n, n + 3):
-            prob = estimate_overflow(node, mask, B)
+            prob = estimate_overflow(node, 0, B, mask)
             assert prob == np.count_nonzero(seen[mask] >= B) / mask.sum()
 
 
@@ -702,10 +708,12 @@ def test_case3_replication_peak_memory_per_sink_arrival():
     # a one-hour case-3 day at b=.9 traced 65.3 B per sink arrival while
     # every relay trajectory stayed alive through the sink, and 42.1-43.5 B
     # once replication streams through the tree (the sink's one metric pass,
-    # at its masked end-to-end delays, is the peak); a merge that kept its
-    # inputs to the end reached 47.3 B, keeping the sink's compressed
-    # departures alive through its end-to-end bincount 50.2 B, and reusing
-    # their buffer by np.compress(out=), which allocates an index array, 48.5 B
+    # at its filtered end-to-end delays, is the peak: 43.3 B with the filter
+    # over the suffix past the warm-up, 43.5 B with a mask over every
+    # arrival); a merge that kept its inputs to the end reached 47.3 B,
+    # keeping the sink's compressed departures alive through its end-to-end
+    # bincount 50.2 B, and reusing their buffer by np.compress(out=), which
+    # allocates an index array, 48.5 B
     topo, src = _case3_b09()
     assert _peak_bytes_per_sink_arrival(
         topo, src, RunConfig(horizon_s=3600.0, warmup_s=600.0), seed=1729) < 46.0
