@@ -22,6 +22,9 @@ find at least B packets in system, ``depart[i-B] > arrive[i]``.  One pass
 per queue takes its metrics, and at the sink the end-to-end sums, from the
 suffix of arrivals past the warm-up, a slice; behind relays (``created is
 not arrive``) a filter over that suffix drops the packets created before it.
+That pass reuses one n-length buffer, and streams with payload keys are
+merged window by window into preallocated outputs, so the case-2/3 sink, a
+replication's peak, allocates its merged state, a few windows and 8 B per arrival.
 In const mode a source builds no packet of a burst that starts past the horizon.
 """
 from __future__ import annotations
@@ -49,7 +52,9 @@ MEAN_PACKET_BYTES = 100.0  # recorded on traces only; service is drawn per hop
 TRACE_COLUMNS = ("packet_id", "source_id", "cluster_id", "created_at",
                  "hop_node", "arrive", "depart", "size_bytes")
 _TRACE_PAYLOAD = ("source", "pid", "size")   # per-arrival arrays carried in trace mode
-_BLOCK = 1 << 15   # packets per block of a queue's service draws and FIFO walk
+# packets per block of service draws, FIFO walk and cluster sums; a payload
+# merge cuts a stream of n packets into n // _BLOCK windows
+_BLOCK = 1 << 15
 
 # glibc mallopt (param, value): never trim the heap top (2 GiB - 1, the largest
 # int), pad each heap growth by 256 MiB, and serve blocks below 256 MiB from the
@@ -235,14 +240,15 @@ def estimate_overflow(state: NodeState, first: int, B: int, keep=None) -> float:
 
 
 def time_average_in_system(arrive: np.ndarray, depart: np.ndarray,
-                           lo: float, hi: float) -> float:
+                           lo: float, hi: float, out: Optional[np.ndarray] = None) -> float:
     """Time-averaged number in system over the window (lo, hi]: the clipped
     ``min(depart, hi) - max(arrive, lo)``, built in one array from the
-    prefixes and suffixes the sorted inputs split into."""
+    prefixes and suffixes the sorted inputs split into; that array is the
+    head of ``out`` when one at least as long as ``arrive`` is given."""
     if arrive.size == 0 or hi <= lo:
         return 0.0
     done, first = np.searchsorted(depart, hi, "right"), np.searchsorted(arrive, lo, "right")
-    overlap = np.empty(arrive.size)
+    overlap = np.empty(arrive.size) if out is None else out[:arrive.size]
     overlap[:done], overlap[done:] = depart[:done], hi
     overlap[:first] -= lo
     overlap[first:] -= arrive[first:]
@@ -348,26 +354,32 @@ def _node_metrics(state: NodeState, config: RunConfig, n_clusters: int, sink: bo
     delay sums and counts (else None), in one pass.  A packet arrives after it
     is created, so the measured arrivals lie in the suffix ``[first:]`` past
     the warm-up; only where ``created is not arrive`` (behind relays) does a
-    filter ``keep`` over that suffix drop those created before it."""
+    filter ``keep`` over that suffix drop those created before it.  One
+    n-length buffer takes in turn the sojourns, the sink's end-to-end delays
+    (each compacted in place by ``keep``) and the overlaps of the time average."""
     horizon, warmup = config.horizon_s, config.warmup_s
     n, window = state.arrive.size, horizon - warmup
     first = int(np.searchsorted(state.arrive, warmup, "right"))   # arrivals end before the horizon
-    done = np.searchsorted(state.depart, horizon, "right")
+    done = int(np.searchsorted(state.depart, horizon, "right"))
+    m = max(done - first, 0)
     keep = None if state.created is state.arrive else state.created[first:] > warmup
-    kept = slice(None) if keep is None else keep[:max(done - first, 0)]
-    sojourn = (state.depart[first:done] - state.arrive[first:done])[kept]
+    buf = np.empty(n)
+    sojourn = np.subtract(state.depart[first:done], state.arrive[first:done], out=buf[:m])
+    if keep is not None:
+        sojourn = _compact(sojourn, keep[:m])
     mpd = float(np.mean(sojourn)) if sojourn.size else 0.0
     e2e = None
-    if sink:   # bincount's sequential summation order sets the bits of the e2e sums
-        if keep is not None:   # built once the sojourns are freed: both alive set the peak
-            del sojourn
-            sojourn = (state.depart[first:done] - state.created[first:done])[kept]
-        idx = state.cluster[first:done][kept]   # unfiltered, the e2e delays are the sojourns
-        e2e = (np.bincount(idx, weights=sojourn, minlength=n_clusters),
+    if sink:   # unfiltered, the end-to-end delays are the sojourns
+        idx = state.cluster[first:done]
+        if keep is not None:
+            sojourn = _compact(np.subtract(state.depart[first:done], state.created[first:done],
+                                           out=buf[:m]), keep[:m])
+            idx = idx[keep[:m]]
+        e2e = (_cluster_sums(idx, sojourn, n_clusters),
                [np.count_nonzero(idx == ci) for ci in range(n_clusters)])
-    del sojourn   # before the overlap array of time_average_in_system is built
+        del idx
     overflow = estimate_overflow(state, first, config.threshold, keep)
-    queue_len = time_average_in_system(state.arrive, state.depart, warmup, horizon)
+    queue_len = time_average_in_system(state.arrive, state.depart, warmup, horizon, out=buf)
 
     idx = state.cluster[first:]
     cluster_thr = {ci: float(np.count_nonzero(idx == ci) / window) for ci in range(n_clusters)}
@@ -378,6 +390,30 @@ def _node_metrics(state: NodeState, config: RunConfig, n_clusters: int, sink: bo
         cluster_throughput_pps=cluster_thr), e2e
 
 
+def _compact(values: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """``values[keep]`` built in place: the head up to the last dropped entry is
+    compressed and written back next to the untouched tail, and the result is
+    a view of ``values``.  Packets created before the warm-up arrive in the
+    head of the suffix, so the compressed head is short."""
+    cut = keep.size - int(np.argmin(keep[::-1])) if keep.size and not keep.all() else 0
+    head = values[:cut][keep[:cut]]
+    start = cut - head.size
+    values[start:cut] = head
+    return values[start:]
+
+
+def _cluster_sums(idx: np.ndarray, weights: np.ndarray, k: int) -> np.ndarray:
+    """``np.bincount(idx, weights, minlength=k)`` taken _BLOCK at a time, each
+    block's bincount seeded with the k running sums.  0.0 + s is s, so the
+    sums are added in one bincount's sequential order and have its bits,
+    without its full-length intp copy of ``idx``."""
+    sums, seed = np.zeros(k), np.arange(k)
+    for lo in range(0, idx.size, _BLOCK):
+        sums = np.bincount(np.concatenate((seed, idx[lo:lo + _BLOCK])),
+                           weights=np.concatenate((sums, weights[lo:lo + _BLOCK])), minlength=k)
+    return sums
+
+
 def _merge_inputs(inputs: list[dict]) -> dict:
     """Merge sorted input streams into one sorted stream.  Empty inputs are
     skipped; a single input is returned as is.
@@ -386,10 +422,14 @@ def _merge_inputs(inputs: list[dict]) -> dict:
     trace mode) are concatenated and value-sorted in place: emission times
     are finite, non-negative and never -0.0, so equal values have equal bits
     and the result is the stable merge's, bit for bit.  Inputs with more keys
-    take one stable argsort over the inputs in their given order, so on
-    simultaneous events the earlier input goes first, and a gather per key;
-    each key is popped from the inputs once gathered, so an input array no
-    one else holds is freed before the next key is built."""
+    are merged into one preallocated output per key, window by window: the
+    time axis from 0 to the largest last time is cut into ``n // _BLOCK``
+    equal windows, every input is cut at the window edges by ``searchsorted
+    "left"``, so equal times land in one window, and each window takes one
+    stable argsort over its inputs in their given order (on simultaneous
+    events the earlier input goes first) and a gather per key.  The result
+    is one global stable argsort's, bit for bit, and the temporaries are a
+    window's, not the stream's."""
     if not inputs:
         return {"times": np.empty(0), "created": np.empty(0),
                 "cluster": np.empty(0, dtype=np.int16), "source": np.empty(0, dtype=np.int32),
@@ -401,8 +441,22 @@ def _merge_inputs(inputs: list[dict]) -> dict:
         times = np.concatenate([s["times"] for s in inputs])
         times.sort()
         return {"times": times}
-    order = np.argsort(np.concatenate([s["times"] for s in inputs]), kind="stable")
-    return {key: np.concatenate([s.pop(key) for s in inputs])[order] for key in list(inputs[0])}
+    n = sum(s["times"].size for s in inputs)
+    out = {key: np.empty(n, dtype=arr.dtype) for key, arr in inputs[0].items()}
+    windows = max(n // _BLOCK, 1)
+    edges = np.linspace(0.0, max(s["times"][-1] for s in inputs), windows + 1)
+    edges[0], edges[-1] = -np.inf, np.inf   # the outer windows take every time
+    cuts = [np.searchsorted(s["times"], edges, "left") for s in inputs]
+    pos = 0
+    for w in range(windows):
+        parts = [slice(c[w], c[w + 1]) for c in cuts]
+        order = np.argsort(np.concatenate([s["times"][p] for s, p in zip(inputs, parts)]),
+                           kind="stable")
+        for key, merged in out.items():   # argsort's indices are in range; "raise" would buffer
+            np.take(np.concatenate([s[key][p] for s, p in zip(inputs, parts)]), order,
+                    out=merged[pos:pos + order.size], mode="clip")
+        pos += order.size
+    return out
 
 
 def _trace_columns(clusters, states: dict[str, NodeState]) -> dict[str, list]:

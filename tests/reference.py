@@ -10,8 +10,10 @@ oracle and the engine consume the identical randomness.
 forms the engine's in-place FIFO kernel and prefix-split time average must
 equal bit for bit.
 
-``stable_merge`` is the stable-argsort merge of sorted streams that the
-engine's value-sort merge of payload-free streams must equal bit for bit.
+``stable_merge`` is the stable-argsort merge of sorted streams, one
+concatenation, argsort and gather over whole streams, that the engine's
+value-sort merge of payload-free streams and its window-by-window merge of
+streams with payload keys must equal bit for bit.
 
 ``emit_then_cut`` is the emission that builds every burst of its last
 chunk and then drops the packets past the horizon, and

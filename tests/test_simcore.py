@@ -431,6 +431,98 @@ def test_multi_key_merge_puts_the_earlier_input_first_on_ties(seed, data):
     assert np.all(got["cluster"][1:][tied] >= got["cluster"][:-1][tied])
 
 
+def _trace_shaped(seed, data):
+    """2-5 sorted streams, some empty, with every trace payload key: the times
+    are drawn from the merge's own window edges (so ties fall exactly on an
+    edge, within and across inputs), from one repeated value, or all zero."""
+    sizes = data.draw(st.lists(st.integers(0, 60), min_size=2, max_size=5), label="sizes")
+    sizes[data.draw(st.integers(0, len(sizes) - 1), label="live")] += 1
+    block = data.draw(st.integers(1, 9), label="block")
+    kind = data.draw(st.sampled_from(["edges", "equal", "zero"]), label="kind")
+    top = 0.0 if kind == "zero" else data.draw(st.floats(1e-3, 1e6), label="top")
+    edges = np.linspace(0.0, top, max(sum(sizes) // block, 1) + 1)
+    if kind == "edges":
+        pool = np.concatenate([edges, np.random.default_rng(seed).uniform(0.0, top, 8)])
+    else:
+        pool = edges[-1:]
+    rng = np.random.default_rng(seed)
+    streams = [np.sort(rng.choice(pool, size)) for size in sizes]
+    longest = max(streams, key=len)
+    longest[-1] = top    # the largest last time, which sets the edges
+    return block, [{"times": times, "created": times / 3.0,
+                    "cluster": np.full(times.size, ci, dtype=np.int16),
+                    "source": rng.integers(0, 7, times.size, dtype=np.int32),
+                    "pid": np.arange(times.size, dtype=np.int64),
+                    "size": rng.exponential(100.0, times.size)}
+                   for ci, times in enumerate(streams)]
+
+
+@given(seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_windowed_merge_equals_one_stable_argsort(seed, data):
+    # a small _BLOCK makes the merge cross many windows
+    block, inputs = _trace_shaped(seed, data)
+    expect = stable_merge(inputs)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simcore, "_BLOCK", block)
+        got = simcore._merge_inputs([dict(s) for s in inputs])
+    assert got.keys() == expect.keys()
+    for key in expect:
+        assert got[key].dtype == expect[key].dtype, key
+        assert got[key].tobytes() == expect[key].tobytes(), key
+
+
+def test_merge_allocates_its_outputs_and_a_few_windows():
+    # the relay-to-sink shape: the outputs take 18 B per arrival and the
+    # windows about 3 blocks of 8 B; one stable argsort and gather over the
+    # whole stream traced 32.0 B per arrival
+    rng = np.random.default_rng(11)
+    inputs = []
+    for ci, size in enumerate((400_000, 400_000, 200_000)):
+        times = np.sort(rng.uniform(0.0, 7200.0, size))
+        inputs.append({"times": times, "created": times - 0.1,
+                       "cluster": np.full(size, ci, dtype=np.int16)})
+    tracemalloc.start()
+    try:
+        merged = simcore._merge_inputs(inputs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    n = merged["times"].size
+    assert n == 1_000_000 and peak <= 18 * n + 8 * 8 * simcore._BLOCK, peak / n
+
+
+# ---------------------------------------------------------- metric helpers
+
+def _keep_masks(n, rng):
+    head = np.ones(n, dtype=bool)
+    head[:n // 3][rng.random(n // 3) < 0.5] = False
+    return {"all": np.ones(n, dtype=bool), "none": np.zeros(n, dtype=bool),
+            "head": head, "random": rng.random(n) < 0.5}
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 1000])
+@pytest.mark.parametrize("mask", ["all", "none", "head", "random"])
+def test_compact_equals_boolean_indexing(n, mask):
+    rng = np.random.default_rng(n)
+    values, keep = rng.exponential(1.0, n), _keep_masks(n, rng)[mask]
+    expect = values[keep]
+    got = simcore._compact(values, keep)
+    assert got.tobytes() == expect.tobytes()
+    assert got.size == 0 or np.shares_memory(got, values)
+
+
+@pytest.mark.parametrize("n", [0, 1, simcore._BLOCK - 1, simcore._BLOCK, simcore._BLOCK + 1,
+                               3 * simcore._BLOCK + 7])
+@pytest.mark.parametrize("k", [1, 3])
+def test_cluster_sums_equal_one_bincount(n, k):
+    # with k=3 the indices skip cluster 1, which must sum to 0
+    rng = np.random.default_rng(n + k)
+    idx = (rng.integers(0, 2, n) * (k - 1)).astype(np.int16)
+    weights = rng.exponential(1.0, n) * 10.0 ** rng.integers(-6, 6, n)
+    expect = np.bincount(idx, weights=weights, minlength=k)
+    assert simcore._cluster_sums(idx, weights, k).tobytes() == expect.tobytes()
+
+
 def test_fifo_order_preserved_in_replication():
     topo = wb.build_star(1)
     src = bursty_params(b=0.8)
@@ -650,8 +742,11 @@ def test_time_average_in_system_equals_min_max_form(n, seed, data):
     depart = fifo_departures(arrive, np.floor(rng.exponential(0.5, n) * 4.0) / 4.0)
     lo = data.draw(st.sampled_from(arrive.tolist() + [-1.0, 0.0, 5.0]), label="lo")
     hi = data.draw(st.sampled_from(depart.tolist() + [0.0, 5.0, 20.0]), label="hi")
-    assert (time_average_in_system(arrive, depart, lo, hi)
-            == time_average_min_max(arrive, depart, lo, hi))
+    expect = time_average_min_max(arrive, depart, lo, hi)
+    assert time_average_in_system(arrive, depart, lo, hi) == expect
+    # a longer buffer holding stale values gives the same bits
+    out = np.full(n + data.draw(st.integers(0, 3), label="spare"), np.nan)
+    assert time_average_in_system(arrive, depart, lo, hi, out=out) == expect
 
 
 # ----------------------------------------------------------------- memory
@@ -707,28 +802,32 @@ def _peak_bytes_per_sink_arrival(topo, src, config, seed):
 def test_case3_replication_peak_memory_per_sink_arrival():
     # a one-hour case-3 day at b=.9 traced 65.3 B per sink arrival while
     # every relay trajectory stayed alive through the sink, and 42.1-43.5 B
-    # once replication streams through the tree (the sink's one metric pass,
-    # at its filtered end-to-end delays, is the peak: 43.3 B with the filter
-    # over the suffix past the warm-up, 43.5 B with a mask over every
-    # arrival); a merge that kept its inputs to the end reached 47.3 B,
-    # keeping the sink's compressed departures alive through its end-to-end
-    # bincount 50.2 B, and reusing their buffer by np.compress(out=), which
-    # allocates an index array, 48.5 B
+    # once replication streams through the tree, at the sink's metric pass
+    # with a fresh array for its sojourns, its filtered end-to-end delays and
+    # its time average, and one full-length bincount. With one reused metric
+    # buffer, compacted in place, and the end-to-end sums taken per block, the
+    # day traces 38.9 B: the sink's metric pass 38.9 B, its windowed merge
+    # 36.3 B (35.4 B for one global argsort and gather), its FIFO stage 28.4 B.
+    # Keeping the sink's compressed departures alive through its end-to-end
+    # bincount reached 50.2 B, and np.compress(out=), which allocates an index
+    # array, 48.5 B. The same day reads about 1 B more or less in one process
+    # than another
     topo, src = _case3_b09()
     assert _peak_bytes_per_sink_arrival(
-        topo, src, RunConfig(horizon_s=3600.0, warmup_s=600.0), seed=1729) < 46.0
+        topo, src, RunConfig(horizon_s=3600.0, warmup_s=600.0), seed=1729) < 41.0
 
 
 def test_star_replication_peak_memory_per_sink_arrival():
-    # a four-hour star day of ten sources at b=.3 traces 30.0 B per sink
-    # arrival, at the sink's one metric pass (its sojourn slice and the
-    # bincount of the end-to-end sums); a separate cluster pass over the
-    # kept sink state set the peak at 32.5-33.5 B, and the FIFO stage, which
-    # set it at 35.1 B while it drew all services at once, now takes 18.7 B.
+    # a four-hour star day of ten sources at b=.3 traces 26.8 B per sink
+    # arrival, at the sink's metric pass: its 8 B metric buffer beside the
+    # 18 B state. A fresh sojourn array and one full-length bincount, with
+    # its intp copy of the cluster indices, read 30.0 B; a separate cluster
+    # pass over the kept sink state 32.5-33.5 B; the FIFO stage, which set
+    # the peak at 35.1 B while it drew all services at once, now takes 18.7 B.
     # The same day reads about 1 B more or less in one process than another
     topo, src = wb.build_star(10), bursty_params(n=10, b=0.3)
     assert _peak_bytes_per_sink_arrival(
-        topo, src, RunConfig(horizon_s=14_400.0, warmup_s=3_600.0), seed=1729) < 34.0
+        topo, src, RunConfig(horizon_s=14_400.0, warmup_s=3_600.0), seed=1729) < 29.0
 
 
 def test_serving_a_queue_allocates_its_departures_and_a_few_blocks():
