@@ -69,7 +69,6 @@ _FIELDS = {
     "out_dir": _Field("results", str),
     "emission_mode": _Field("const", str, ("one of", ("const", "poisson"))),
     "alpha": _Field(1.4, float, (">", 1.0)),
-    "theta": _Field(0.5, float, (">", 0.0), ("<", 1.0)),
     "trace": _Field(False, bool),
 }
 _NODE_COUNT = _Field(..., int, (">=", 1))
@@ -152,9 +151,9 @@ def config_from_dict(raw: dict) -> SimConfig:
         run = RunConfig(got.pop("horizon_s"), got.pop("warmup_s"), got.pop("trace"), got.pop("B"))
     except ParameterError as exc:   # _FIELDS holds B >= 1: only warmup_s >= horizon_s is left
         raise ConfigError(f"field 'warmup_s': {exc}") from None
-    shape = dict(alpha=got.pop("alpha"), theta=got.pop("theta"))
+    alpha = got.pop("alpha")
     try:
-        on = DistKind.parse(got.pop("on_kind"), **shape)
+        on = DistKind.parse(got.pop("on_kind"), alpha)
     except (ParameterError, ValueError) as exc:
         raise ConfigError(f"field 'on_kind': {exc}") from None
     try:   # the burst-size law depends on these two alone; a run would refuse it too
@@ -162,7 +161,7 @@ def config_from_dict(raw: dict) -> SimConfig:
     except ParameterError as exc:
         raise ConfigError(f"fields 'on_kind'={on.label()!r}, 'n_p'={got['n_p']}: {exc}") from None
     return SimConfig(n_list=n_list, b_values=b_values, on=on, run=run,
-                     off=DistKind.parse(got.pop("off_kind"), **shape), raw=dict(raw), **got)
+                     off=DistKind.parse(got.pop("off_kind"), alpha), raw=dict(raw), **got)
 
 
 def _check_fields(raw: dict, table: dict, prefix: str = "") -> dict:
@@ -499,7 +498,7 @@ def blowup_table(n: int, rho: float,
 
 def limits_table(v: float, rho: float, on_kind: str, n_p: float) -> dict:
     """Smooth and bulk mean-delay limits for the burst-size law that a config's
-    ``on_kind`` (alpha and theta at their defaults) and ``n_p`` give a sweep."""
+    ``on_kind`` (alpha at its default) and ``n_p`` give a sweep."""
     try:
         law = bulk_law_for(DistKind.parse(on_kind), n_p)
     except ValueError as exc:   # a ParameterError, or int() refusing the T of 'tpt:x'

@@ -28,6 +28,7 @@ EMISSION_CONST = "const"      # packets evenly spaced 1/lambda_p within a burst
 EMISSION_POISSON = "poisson"  # packet gaps Exponential(1/lambda_p) within a burst
 
 _PARETO_CUTOFF = 200_000   # Pareto burst-size terms summed before the integral tail
+_TPT_THETA = 0.5           # branch-weight ratio of every TPT law a DistKind makes
 
 
 @dataclass(frozen=True)
@@ -86,7 +87,6 @@ class DistKind:
     kind: str
     T: Optional[int] = None
     alpha: float = 1.4
-    theta: float = 0.5
 
     def __post_init__(self):
         if self.kind not in ("exp", "pareto", "tpt"):
@@ -96,18 +96,16 @@ class DistKind:
                 raise ParameterError("tpt kind requires a truncation level T >= 1")
         if not self.alpha > 1.0:
             raise ParameterError(f"alpha must be > 1, got {self.alpha}")
-        if not 0.0 < self.theta < 1.0:
-            raise ParameterError(f"theta must be in (0,1), got {self.theta}")
 
     @classmethod
-    def parse(cls, text: str, alpha: float = 1.4, theta: float = 0.5) -> "DistKind":
+    def parse(cls, text: str, alpha: float = 1.4) -> "DistKind":
         """Parse 'exp', 'pareto', or 'tpt:<T>'."""
         if text == "tpt" or text.startswith("tpt:"):
             _, _, t = text.partition(":")
             if not t:
                 raise ParameterError("tpt kind must carry a truncation level, e.g. 'tpt:30'")
-            return cls(kind="tpt", T=int(t), alpha=alpha, theta=theta)
-        return cls(kind=text, alpha=alpha, theta=theta)
+            return cls(kind="tpt", T=int(t), alpha=alpha)
+        return cls(kind=text, alpha=alpha)
 
     def label(self) -> str:
         return f"tpt:{self.T}" if self.kind == "tpt" else self.kind
@@ -120,7 +118,7 @@ class DistKind:
             return Exponential(mean=mean)
         if self.kind == "pareto":
             return Pareto(alpha=self.alpha, mean=mean)
-        return tpt_calibrate(self.theta, self.alpha, mean, self.T)
+        return tpt_calibrate(_TPT_THETA, self.alpha, mean, self.T)
 
 
 def derive_source_params(lambda_total: float, N: int, n_p: float, b: float,

@@ -52,8 +52,8 @@ MEAN_PACKET_BYTES = 100.0  # recorded on traces only; service is drawn per hop
 TRACE_COLUMNS = ("packet_id", "source_id", "cluster_id", "created_at",
                  "hop_node", "arrive", "depart", "size_bytes")
 _TRACE_PAYLOAD = ("source", "pid", "size")   # per-arrival arrays carried in trace mode
-# packets per block of service draws, FIFO walk and cluster sums; a payload
-# merge cuts a stream of n packets into n // _BLOCK windows
+# packets per block of service draws and FIFO walk; a payload merge cuts a
+# stream of n packets into n // _BLOCK windows
 _BLOCK = 1 << 15
 
 # glibc mallopt (param, value): never trim the heap top (2 GiB - 1, the largest
@@ -375,8 +375,9 @@ def _node_metrics(state: NodeState, config: RunConfig, n_clusters: int, sink: bo
             sojourn = _compact(np.subtract(state.depart[first:done], state.created[first:done],
                                            out=buf[:m]), keep[:m])
             idx = idx[keep[:m]]
-        e2e = (_cluster_sums(idx, sojourn, n_clusters),
-               [np.count_nonzero(idx == ci) for ci in range(n_clusters)])
+        sums = np.zeros(n_clusters)
+        np.add.at(sums, idx, sojourn)   # unbuffered, in index order: one bincount's bits
+        e2e = sums, [np.count_nonzero(idx == ci) for ci in range(n_clusters)]
         del idx
     overflow = estimate_overflow(state, first, config.threshold, keep)
     queue_len = time_average_in_system(state.arrive, state.depart, warmup, horizon, out=buf)
@@ -400,18 +401,6 @@ def _compact(values: np.ndarray, keep: np.ndarray) -> np.ndarray:
     start = cut - head.size
     values[start:cut] = head
     return values[start:]
-
-
-def _cluster_sums(idx: np.ndarray, weights: np.ndarray, k: int) -> np.ndarray:
-    """``np.bincount(idx, weights, minlength=k)`` taken _BLOCK at a time, each
-    block's bincount seeded with the k running sums.  0.0 + s is s, so the
-    sums are added in one bincount's sequential order and have its bits,
-    without its full-length intp copy of ``idx``."""
-    sums, seed = np.zeros(k), np.arange(k)
-    for lo in range(0, idx.size, _BLOCK):
-        sums = np.bincount(np.concatenate((seed, idx[lo:lo + _BLOCK])),
-                           weights=np.concatenate((sums, weights[lo:lo + _BLOCK])), minlength=k)
-    return sums
 
 
 def _merge_inputs(inputs: list[dict]) -> dict:

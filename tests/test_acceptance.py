@@ -3,7 +3,7 @@
 Each test prints a ``criterion NN: PASS/FAIL`` line (visible with
 ``pytest tests/test_acceptance.py -s``) and then asserts.  The suite is
 compute-heavy (hundreds of 25-hour replications, run two at a time by
-``_map_days``) and takes about 3 minutes on a 2-vCPU x86-64 VM; every test
+``_map_days``) and takes about 2 minutes on a 2-vCPU x86-64 VM; every test
 carries the ``acceptance`` marker, so ``pytest -m "not acceptance"`` leaves
 it out.
 """

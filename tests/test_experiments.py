@@ -45,9 +45,9 @@ def test_minimal_config_defaults(tmp_path):
     assert (cfg.off.kind, cfg.n_p, cfg.lambda_total, cfg.rho) == ("exp", 50.0, 50.0, 0.5)
     assert (cfg.run, cfg.days) == (RunConfig(90_000.0, 3_600.0, False, 1000), 10)
     assert (cfg.seed, cfg.out_dir, cfg.emission_mode) == (1729, "results", "const")
-    assert (cfg.on.alpha, cfg.on.theta) == (1.4, 0.5)
+    assert cfg.on.alpha == cfg.off.alpha == 1.4
     assert all(type(x) is float for x in (cfg.n_p, cfg.lambda_total, cfg.rho, cfg.run.horizon_s,
-                                          cfg.run.warmup_s, cfg.on.alpha, cfg.on.theta))
+                                          cfg.run.warmup_s, cfg.on.alpha))
     assert len(cfg.b_values) == 19
     assert cfg.b_values[0] == 0.05 and cfg.b_values[-1] == 0.95
 
@@ -79,7 +79,7 @@ def test_config_parse_error_reports_position(tmp_path):
     ({"emission_mode": "bulk"}, "emission_mode"),
     # ill-typed values are config errors, not runtime failures
     ({"b": {"start": "x", "stop": 0.9, "step": 0.1}}, "'b.start' must be a finite number"),
-    ({"theta": "abc"}, "'theta' must be a finite number"),
+    ({"theta": "abc"}, "unknown config keys: theta"),   # TPT's theta is fixed at 1/2
     ({"rho": "abc"}, "'rho' must be a finite number"),
     ({"B": 2.5}, "'B' must be an integer, got 2.5"),
     ({"warmup_s": "abc"}, "'warmup_s' must be a finite number"),

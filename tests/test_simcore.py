@@ -511,16 +511,28 @@ def test_compact_equals_boolean_indexing(n, mask):
     assert got.size == 0 or np.shares_memory(got, values)
 
 
-@pytest.mark.parametrize("n", [0, 1, simcore._BLOCK - 1, simcore._BLOCK, simcore._BLOCK + 1,
-                               3 * simcore._BLOCK + 7])
+@pytest.mark.parametrize("n", [0, 1, 32_767, 32_768, 32_769, 98_311])
 @pytest.mark.parametrize("k", [1, 3])
 def test_cluster_sums_equal_one_bincount(n, k):
-    # with k=3 the indices skip cluster 1, which must sum to 0
+    # the sink's per-cluster end-to-end sums have one bincount's bits, at a
+    # star sink (the delays are the sojourns) and behind relays (the delays
+    # run from creation, filtered by it); with k=3 cluster 1 must sum to 0.
+    # Services spanning 8 decades make a pairwise sum differ from it
     rng = np.random.default_rng(n + k)
-    idx = (rng.integers(0, 2, n) * (k - 1)).astype(np.int16)
-    weights = rng.exponential(1.0, n) * 10.0 ** rng.integers(-6, 6, n)
-    expect = np.bincount(idx, weights=weights, minlength=k)
-    assert simcore._cluster_sums(idx, weights, k).tobytes() == expect.tobytes()
+    horizon = max(n, 1) / 50.0
+    config = RunConfig(horizon_s=horizon, warmup_s=horizon / 10.0)
+    arrive = np.sort(rng.uniform(0.0, horizon, n))
+    depart = fifo_departures(arrive, rng.exponential(1.0, n) * 10.0 ** rng.integers(-9, -1, n))
+    cluster = (rng.integers(0, 2, n) * (k - 1)).astype(np.int16)
+    done = np.searchsorted(depart, horizon, "right")
+    for created in (arrive, arrive - rng.uniform(0.0, 1.0, n)):
+        state = NodeState(arrive=arrive, depart=depart, created=created, cluster=cluster)
+        measured = created[:done] > config.warmup_s
+        ids = cluster[:done][measured]
+        expect = np.bincount(ids, weights=(depart - created)[:done][measured], minlength=k)
+        sums, counts = simcore._node_metrics(state, config, k, True)[1]
+        assert sums.tobytes() == expect.tobytes()
+        assert counts == np.bincount(ids, minlength=k).tolist()
 
 
 def test_fifo_order_preserved_in_replication():
@@ -805,9 +817,10 @@ def test_case3_replication_peak_memory_per_sink_arrival():
     # once replication streams through the tree, at the sink's metric pass
     # with a fresh array for its sojourns, its filtered end-to-end delays and
     # its time average, and one full-length bincount. With one reused metric
-    # buffer, compacted in place, and the end-to-end sums taken per block, the
-    # day traces 38.9 B: the sink's metric pass 38.9 B, its windowed merge
-    # 36.3 B (35.4 B for one global argsort and gather), its FIFO stage 28.4 B.
+    # buffer, compacted in place, and the end-to-end sums added by np.add.at
+    # with no copy of the cluster indices, the day traces 37.4-38.9 B, at the
+    # sink's metric pass; its windowed merge traced 36.3 B (35.4 B for one
+    # global argsort and gather), its FIFO stage 28.4 B.
     # Keeping the sink's compressed departures alive through its end-to-end
     # bincount reached 50.2 B, and np.compress(out=), which allocates an index
     # array, 48.5 B. The same day reads about 1 B more or less in one process
@@ -820,14 +833,34 @@ def test_case3_replication_peak_memory_per_sink_arrival():
 def test_star_replication_peak_memory_per_sink_arrival():
     # a four-hour star day of ten sources at b=.3 traces 26.8 B per sink
     # arrival, at the sink's metric pass: its 8 B metric buffer beside the
-    # 18 B state. A fresh sojourn array and one full-length bincount, with
-    # its intp copy of the cluster indices, read 30.0 B; a separate cluster
+    # 18 B state, with the end-to-end sums added by np.add.at in place. A
+    # fresh sojourn array and one full-length bincount, with its intp copy of
+    # the cluster indices, read 30.0 B; a separate cluster
     # pass over the kept sink state 32.5-33.5 B; the FIFO stage, which set
     # the peak at 35.1 B while it drew all services at once, now takes 18.7 B.
     # The same day reads about 1 B more or less in one process than another
     topo, src = wb.build_star(10), bursty_params(n=10, b=0.3)
     assert _peak_bytes_per_sink_arrival(
         topo, src, RunConfig(horizon_s=14_400.0, warmup_s=3_600.0), seed=1729) < 29.0
+
+
+def test_small_sink_metric_pass_peak_memory_per_arrival():
+    # a two-hour tpt:10 star sink of about 36 000 arrivals, just over one
+    # _BLOCK: the metric pass allocates its 8 B buffer and the k cluster sums.
+    # Per-_BLOCK bincounts seeded with the running sums traced 22.6 B per
+    # arrival (the first block's int64 index and weight copies); one
+    # full-length bincount with its intp copy of the cluster indices 14.7 B
+    config = RunConfig(horizon_s=7200.0, warmup_s=600.0)
+    src = bursty_params(lam=5.0, n_p=10.0, b=0.1, on="tpt:10")
+    (_, state), = simulate(wb.build_star(1, 5.0), src, config, seed=1729)
+    tracemalloc.start()
+    try:
+        simcore._node_metrics(state, config, 1, True)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    n = state.arrive.size
+    assert simcore._BLOCK < n < 2 * simcore._BLOCK and peak / n < 15.0, (n, peak / n)
 
 
 def test_serving_a_queue_allocates_its_departures_and_a_few_blocks():
